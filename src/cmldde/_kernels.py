@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 try:
     from numba import njit
@@ -91,6 +90,8 @@ def exp_scan(x, incr, decay):
     precomputed quadrature increment. Returns the index i of the first step
     whose result x[i+1] is non-finite, or -1 on success.
     """
+    from scipy.signal import lfilter  # on first use: the import costs about 20 MB
+
     x[1:] = lfilter([1.0], [1.0, -decay], incr, zi=[decay * x[0]])[0]
     bad = np.flatnonzero(~np.isfinite(x[1:]))
     return int(bad[0]) if bad.size else -1

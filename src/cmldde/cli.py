@@ -91,6 +91,11 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
+def _out_target(cfg: RunConfig):
+    # a path for Trajectory.write_csv to open, or stdout
+    return sys.stdout if cfg.out is None else cfg.out
+
+
 def _emit_rows(fh, header: list[str], rows: list[list]):
     fh.write(",".join(header) + "\n")
     for row in rows:
@@ -114,15 +119,6 @@ def _emit(cfg: RunConfig, header, rows, payload):
             fh.write("\n")
         else:
             _emit_rows(fh, header, rows)
-
-
-def _write_trajectory(fh, traj, labels, stride: int):
-    fh.write(",".join(labels) + "\n")
-    t = traj.times[::stride]
-    v = traj.values[::stride]
-    d = traj.derivs[::stride]
-    for row in zip(t, v, d):
-        fh.write("%.17g,%.17g,%.17g\n" % row)
 
 
 def _orbit_payload(orbit) -> dict:
@@ -231,8 +227,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = _model_params(cfg)
     history = _history_from_options(cfg, params)
     traj = integrate_y(params, history, _resolve_t_end(cfg, params), cfg.options.get("dt"))
-    with _open_out(cfg.out) as fh:
-        _write_trajectory(fh, traj, ("t", "y", "ydot"), cfg.options.get("stride", 1))
+    traj.write_csv(_out_target(cfg), ("t", "y", "ydot"), cfg.options.get("stride", 1))
     return 0
 
 
@@ -244,8 +239,7 @@ def cmd_x_sim(cfg: RunConfig) -> int:
     if x0 is None:
         x0 = positive_equilibrium(params).x_star if params.has_positive_equilibrium else 0.0
     x_traj = integrate_x(params, y_traj, x0)
-    with _open_out(cfg.out) as fh:
-        _write_trajectory(fh, x_traj, ("t", "x", "xdot"), cfg.options.get("stride", 1))
+    x_traj.write_csv(_out_target(cfg), ("t", "x", "xdot"), cfg.options.get("stride", 1))
     return 0
 
 
@@ -463,7 +457,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_ERROR
-    except (IntegrationError, RootNotFoundError, ConditioningError, RuntimeError) as exc:
+    except (IntegrationError, RootNotFoundError, ConditioningError, RuntimeError,
+            ArithmeticError, ValueError) as exc:
+        # plain ValueError is a math domain error, e.g. from a quantity past the double range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
 

@@ -12,7 +12,9 @@ out of the interpolation.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -204,14 +206,15 @@ class Trajectory:
         sel = (t >= t_lo) & (t <= t_hi)
         return t[sel], self.values[sel]
 
-    def write_csv(self, path, labels=("t", "y", "ydot"), stride: int = 1):
-        """Dump stored nodes as CSV (LF endings, '.' decimals, header row)."""
+    def write_csv(self, dest, labels=("t", "y", "ydot"), stride: int = 1):
+        """Dump stored nodes to a path or text stream as CSV (LF endings, header row)."""
         if stride < 1:
             raise DomainError("stride must be >= 1")
         t = self.times[::stride]
         v = self.values[::stride]
         d = self.derivs[::stride]
-        with open(path, "w", newline="\n") as fh:
+        is_path = isinstance(dest, (str, os.PathLike))
+        with open(dest, "w", newline="\n") if is_path else contextlib.nullcontext(dest) as fh:
             fh.write(",".join(labels) + "\n")
             for row in zip(t, v, d):
                 fh.write("%.17g,%.17g,%.17g\n" % row)

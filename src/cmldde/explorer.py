@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import PreconditionError
 from .model import ModelParams, positive_equilibrium
@@ -109,6 +108,8 @@ class ZoneReport:
 def _refined_peak_times(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     # prominence filter keeps one peak per cycle on relaxation-type waveforms
     # whose slow segments carry roundoff-scale ripples
+    from scipy.signal import find_peaks  # on first use: the import costs about 20 MB
+
     idx, _ = find_peaks(v, prominence=0.1 * (v.max() - v.min()))
     idx = idx[(idx > 0) & (idx < v.size - 1)]
     if idx.size == 0:

@@ -11,11 +11,11 @@ it reports Undetermined rather than guessing.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .errors import PreconditionError, RootNotFoundError
 from .model import ModelParams, b1_coefficient
@@ -23,8 +23,8 @@ from .model import ModelParams, b1_coefficient
 #: absolute tolerance for the measure-zero marginal case of the trivial branch
 MARGINAL_TOL = 1e-12
 
-#: Newton seed grid density for the root sweep (per axis)
-SEED_GRID = 40
+#: largest root count leading_roots returns; bounds its arrays
+MAX_ROOTS = 10_000
 
 
 class StabilityState(Enum):
@@ -197,14 +197,18 @@ def characteristic_residual(params: ModelParams, lam: complex) -> float:
 def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
     """Rightmost characteristic roots, sorted by descending real part.
 
-    Runs damped-free Newton iteration from a SEED_GRID x SEED_GRID grid over
-    re in [-5/r, 1/r], im in [0, 20 pi/r], keeps iterates whose residual drops
-    below 1e-12, merges duplicates within 1e-8 and reports each conjugate pair
-    once (im >= 0). Reliable for count up to about 8; emits a warning when
-    fewer than `count` roots are confirmed.
+    With w = (lambda + delta + b1) r the equation reads w e^w = z, with
+    z = k b1 r e^((delta + b1) r), so the roots are the branches of the Lambert
+    W function at z. They are evaluated as the Wright omega function at
+    log|z| + i theta, theta = arg z + 2 pi j, which takes log z directly: z
+    never overflows or underflows. Along theta > 0 the real part falls
+    strictly (d Re omega/d theta = -Im omega/|1 + omega|^2 < 0), so the
+    branches nearest theta = 0 hold the rightmost roots; theta = -pi adds the
+    second real root that exists when -1/e <= z < 0. Each conjugate pair is
+    reported once (im >= 0); `count` roots are returned, or one when b1 = 0.
     """
-    if count < 1:
-        raise PreconditionError("count must be >= 1")
+    if not 1 <= count <= MAX_ROOTS:
+        raise PreconditionError(f"count must be in [1, {MAX_ROOTS}], got {count}")
     lin = b1_coefficient(params)
     s_sum, k_b1, r = lin.sum_db1, lin.k_b1, params.r
 
@@ -212,28 +216,23 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
         # equation degenerates to lambda = -(b1 + delta) = -delta
         return [CharacteristicRoot(-params.delta, 0.0)]
 
-    re = np.linspace(-5.0 / r, 1.0 / r, SEED_GRID)
-    im = np.linspace(0.0, 20.0 * math.pi / r, SEED_GRID)
-    lam = (re[:, None] + 1j * im[None, :]).ravel()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(80):
-            ez = np.exp(-lam * r)
-            g = lam + s_sum - k_b1 * ez
-            gp = 1.0 + r * k_b1 * ez
-            lam = lam - g / gp
-        res = np.abs(lam + s_sum - k_b1 * np.exp(-lam * r))
-    good = np.isfinite(lam) & np.isfinite(res) & (res < 1e-12)
-    candidates = lam[good]
-    candidates = np.where(candidates.imag < 0.0, np.conj(candidates), candidates)
-
-    accepted: list[complex] = []
-    for z in sorted(candidates, key=lambda z: -z.real):
-        if all(abs(z - w) > 1e-8 for w in accepted):
-            accepted.append(z)
-    if len(accepted) < count:
-        warnings.warn(
-            f"root sweep confirmed only {len(accepted)} of {count} requested roots",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return [CharacteristicRoot(float(z.real), float(z.imag)) for z in accepted[:count]]
+    # theta = -2 pi (z > 0) folds onto 2 pi; theta = -pi (z < 0) onto pi unless both are real
+    theta = math.pi * (2.0 * np.arange(-1, count) + (k_b1 < 0.0))
+    log_kr = math.log(abs(k_b1)) + math.log(r)
+    w = wrightomega(log_kr + s_sum * r + 1j * theta)
+    w_abs = np.abs(w)
+    im = np.abs(w.imag)
+    # real roots come back with roundoff imaginary parts (below 1e-28 relative)
+    im[im <= 1e-14 * w_abs] = 0.0
+    w = w.real + 1j * im
+    # Re lambda = Re w / r - (delta + b1) = (log|k b1 r| - log|w|) / r; the
+    # first form cancels when |w| is large, the second when it is small
+    with np.errstate(divide="ignore"):
+        re = np.where(w_abs > 1.0, (log_kr - np.log(w_abs)) / r, w.real / r - s_sum)
+    order = np.lexsort((im, -re))
+    w, re, im = w[order], re[order], im[order] / r
+    # a folded duplicate sorts next to its twin
+    fresh = np.ones(w.size, dtype=bool)
+    fresh[1:] = np.abs(np.diff(w)) > 1e-9 * np.abs(w[1:])
+    keep = np.flatnonzero(fresh)[:count]
+    return [CharacteristicRoot(float(re[i]), float(im[i])) for i in keep]

@@ -25,8 +25,8 @@ def gamma_of(k: float, r: float) -> float:
     """
     if not (0.0 < k <= 2.0):
         raise DomainError(f"amplification k must be in (0, 2], got {k}")
-    if r <= 0.0:
-        raise DomainError(f"delay r must be positive, got {r}")
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"delay r must be positive and finite, got {r}")
     return math.log(2.0 / k) / r
 
 
@@ -59,12 +59,10 @@ class ModelParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        if self.n <= 0.0:
-            raise DomainError(f"Hill exponent n must be positive, got {self.n}")
-        if self.beta0 <= 0.0:
-            raise DomainError(f"beta0 must be positive, got {self.beta0}")
-        if self.delta <= 0.0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
+        for name in ("n", "beta0", "delta"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         object.__setattr__(self, "gamma", gamma_of(self.k, self.r))
 
     @property

@@ -2,15 +2,22 @@
 
 Everything here deliberately avoids the package's own integration and
 root-finding paths: the DDE oracle runs scipy's DOP853 interval by interval,
-the frequency oracle uses brentq on the bracketing form, and the kernel
-references are plain numpy-scalar loops with the compiled kernels' contracts.
+the frequency oracle uses brentq on the bracketing form, the root oracle is a
+Newton sweep over a grid of seeds, and the kernel references are plain
+numpy-scalar loops with the compiled kernels' contracts.
 """
+
+import math
+import warnings
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from cmldde import rhs_y
+from cmldde import CharacteristicRoot, PreconditionError, b1_coefficient, rhs_y
+
+#: Newton seed grid density for the root sweep (per axis)
+SEED_GRID = 40
 
 
 def dde_reference(params, history, t_end, rtol=1e-11, atol=1e-12):
@@ -57,6 +64,52 @@ def omega0_reference(s_sum, r):
     """brentq root of w cos(w r) + s sin(w r) on (0, pi/r)."""
     f = lambda w: w * np.cos(w * r) + s_sum * np.sin(w * r)
     return brentq(f, 1e-9, np.pi / r - 1e-9, xtol=1e-15, rtol=8.9e-16)
+
+
+def leading_roots_reference(params, count):
+    """Rightmost characteristic roots by a Newton sweep, sorted by descending real part.
+
+    Runs damped-free Newton iteration from a SEED_GRID x SEED_GRID grid over
+    re in [-5/r, 1/r], im in [0, 20 pi/r], keeps iterates whose residual drops
+    below 1e-12, merges duplicates within 1e-8 and reports each conjugate pair
+    once (im >= 0). Roots outside the seed window, or whose basins no seed
+    hits, are missed: it emits a warning when fewer than `count` roots are
+    confirmed, but a skipped root between two found ones goes unnoticed.
+    """
+    if count < 1:
+        raise PreconditionError("count must be >= 1")
+    lin = b1_coefficient(params)
+    s_sum, k_b1, r = lin.sum_db1, lin.k_b1, params.r
+
+    if lin.b1 == 0.0:
+        # equation degenerates to lambda = -(b1 + delta) = -delta
+        return [CharacteristicRoot(-params.delta, 0.0)]
+
+    re = np.linspace(-5.0 / r, 1.0 / r, SEED_GRID)
+    im = np.linspace(0.0, 20.0 * math.pi / r, SEED_GRID)
+    lam = (re[:, None] + 1j * im[None, :]).ravel()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(80):
+            ez = np.exp(-lam * r)
+            g = lam + s_sum - k_b1 * ez
+            gp = 1.0 + r * k_b1 * ez
+            lam = lam - g / gp
+        res = np.abs(lam + s_sum - k_b1 * np.exp(-lam * r))
+    good = np.isfinite(lam) & np.isfinite(res) & (res < 1e-12)
+    candidates = lam[good]
+    candidates = np.where(candidates.imag < 0.0, np.conj(candidates), candidates)
+
+    accepted: list[complex] = []
+    for z in sorted(candidates, key=lambda z: -z.real):
+        if all(abs(z - w) > 1e-8 for w in accepted):
+            accepted.append(z)
+    if len(accepted) < count:
+        warnings.warn(
+            f"root sweep confirmed only {len(accepted)} of {count} requested roots",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return [CharacteristicRoot(float(z.real), float(z.imag)) for z in accepted[:count]]
 
 
 def _pow_pos_reference(v, n):

@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cmldde.cli import RunConfig, main
+from cmldde.cli import _PARAM_KEYS, RunConfig, main
 
 P3 = ["--n", "2", "--beta0", "2.5", "--delta", "0.0015", "--k", "1.01", "--r", "7.55"]
 SEC3 = ["--n", "12", "--beta0", "1.77", "--delta", "0.05", "--k", "1.18074"]
@@ -41,6 +45,15 @@ class TestEquilibria:
     def test_missing_param_usage_error(self):
         assert main(["equilibria", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("key,value", [("n", "nan"), ("beta0", "inf"), ("delta", "nan"),
+                                           ("r", "nan"), ("r", "inf")])
+    def test_non_finite_parameter_usage_error(self, key, value, capsys):
+        args = ["equilibria", "--n", "2", "--beta0", "2.5", "--delta", "0.0015",
+                "--k", "1.01", "--r", "0.3"]
+        args[args.index("--" + key) + 1] = value
+        assert main(args) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "eq.json"
         assert main(["equilibria", *P3, "--format", "json", "--out", str(out)]) == 0
@@ -55,6 +68,12 @@ class TestStability:
         data = json.loads(out.read_text())
         assert data["positive"]["source"] == "P2.4"
         assert data["leading_roots"][0]["re"] < 0.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delay_usage_error(self, value):
+        args = ["stability", "--n", "2", "--beta0", "2.5", "--delta", "0.0015",
+                "--k", "1.01", "--r", value]
+        assert main(args) == 2
 
 
 class TestHopfSurface:
@@ -115,6 +134,21 @@ class TestSimulate:
 
     def test_zero_t_end_usage_error(self):
         assert main(["simulate", *SEC3, "--r", "0.36", "--t-end", "0"]) == 2
+
+    def test_zero_stride_usage_error(self, tmp_path):
+        out = tmp_path / "y.csv"
+        args = ["simulate", *SEC3, "--r", "0.36", "--t-end", "10", "--stride", "0",
+                "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        out = tmp_path / "y.csv"
+        args = ["simulate", *SEC3, "--r", "0.36", "--t-end", "10", "--stride", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_blowup_is_numerical_failure(self, tmp_path):
         # an absurdly coarse step destabilizes the explicit scheme
@@ -219,3 +253,42 @@ class TestRunConfig:
         )
         wire = json.dumps(cfg.to_dict(), sort_keys=True)
         assert RunConfig.from_dict(json.loads(wire)) == cfg
+
+
+_EXTREME = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0]
+
+
+def _param_value():
+    return st.one_of(
+        st.sampled_from(_EXTREME),
+        st.floats(min_value=0.0, max_value=30.0),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+
+
+def _values(*values):
+    return dict(zip(_PARAM_KEYS, values))
+
+
+class TestArbitraryParameters:
+    """Any parameter values end in a documented exit code, never in a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @example("stability", _values(2.0, 1e300, 1e-300, 1.5, 1e300), "csv")  # r_H divides by 0
+    @example("stability", _values(1e300, 1e300, 1e-300, 2.0, 5e-324), "csv")  # cos(inf)
+    @example("stability", _values(1e300, 1e300, 1e8, 2.0, 1e300), "csv")  # b1 is NaN
+    @example("stability", _values(1.5, 2.0, 0.3, 1.9, 5000.0), "json")  # z overflows
+    @given(
+        command=st.sampled_from(["stability", "equilibria"]),
+        values=st.fixed_dictionaries({key: _param_value() for key in _PARAM_KEYS}),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    def test_exit_code_documented(self, command, values, fmt):
+        argv = [command, "--format", fmt]
+        for key, value in values.items():
+            argv += [f"--{key}", repr(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,21 @@ class TestTrajectory:
         assert data.shape[0] == traj.times[::4].size
         assert data[:, 0] == pytest.approx(traj.times[::4])
         assert data[:, 1] == pytest.approx(traj.values[::4], rel=1e-15)
+
+    def test_csv_to_stream_matches_file(self, p3, tmp_path):
+        traj = integrate_y(p3, ConstantHistory(1.0), 5.0)
+        out = tmp_path / "traj.csv"
+        traj.write_csv(str(out), labels=("t", "x", "xdot"), stride=3)
+        stream = io.StringIO()
+        traj.write_csv(stream, labels=("t", "x", "xdot"), stride=3)
+        assert stream.getvalue() == out.read_text()
+
+    def test_csv_stride_below_one_rejected(self, p3, tmp_path):
+        traj = integrate_y(p3, ConstantHistory(1.0), 5.0)
+        out = tmp_path / "traj.csv"
+        with pytest.raises(DomainError):
+            traj.write_csv(out, stride=0)
+        assert not out.exists()
 
 
 class TestEigenmodeConstruction:

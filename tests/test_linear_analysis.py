@@ -1,11 +1,14 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from cmldde import (
     ModelParams,
+    PreconditionError,
     RootNotFoundError,
     StabilityState,
     VerdictSource,
@@ -18,9 +21,9 @@ from cmldde import (
     leading_roots,
     omega0,
 )
-from cmldde.linear_analysis import _omega0
+from cmldde.linear_analysis import MAX_ROOTS, _omega0
 from conftest import sample_params
-from _oracles import omega0_reference
+from _oracles import leading_roots_reference, omega0_reference
 
 
 def params_with_ratio(ratio, n=2.0, beta0=2.0, k=1.5, r=1.0):
@@ -175,6 +178,94 @@ class TestLeadingRoots:
             for b in roots[i + 1:]:
                 assert abs(a.value - b.value) > 1e-8
 
+    def test_top_roots_match_sweep(self):
+        # the sweep finds nothing left of its window at re = -5/r, so it may return one root
+        rng = np.random.default_rng(8)
+        compared = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(500):
+                p = sample_params(rng)
+                new = leading_roots(p, 2)
+                old = leading_roots_reference(p, 2)
+                assert len(new) == 2 and len(old) >= 1
+                for a, b in zip(new, old):
+                    assert abs(a.value - b.value) <= 1e-10 * abs(b.value), (p, a, b)
+                    compared += 1
+        assert compared > 900
+
+    def test_every_sweep_root_is_listed(self):
+        # the sweep may skip roots, so look for its count in a longer list
+        rng = np.random.default_rng(1403)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(200):
+                p = sample_params(rng)
+                new = [z.value for z in leading_roots(p, 10)]
+                for z in leading_roots_reference(p, 5):
+                    assert min(abs(z.value - v) for v in new) <= 1e-10 * abs(z.value), (p, z)
+
+    def test_root_skipped_by_sweep_is_found(self):
+        p = ModelParams(n=1.0790094525784482, beta0=1.8721969765571127,
+                        delta=0.11283317746481168, k=1.8438711773088858, r=8.567231256341959)
+        skipped = complex(-0.9989924334225, 2.3412963525054)
+        assert min(abs(z.value - skipped) for z in leading_roots_reference(p, 5)) > 0.1
+        roots = leading_roots(p, 5)
+        found = min(roots, key=lambda z: abs(z.value - skipped))
+        assert abs(found.value - skipped) < 1e-12
+        assert relative_residual(p, found.value) < 1e-12
+        assert roots.index(found) == 4
+
+    def test_overflowing_z_matches_sweep(self):
+        # (delta + b1) r = 1083: z = k b1 r e^((delta + b1) r) overflows a double
+        p = ModelParams(n=1.5, beta0=2.0, delta=0.3, k=1.9, r=5000.0)
+        lin = b1_coefficient(p)
+        assert lin.sum_db1 * p.r > 1000.0
+        new = leading_roots(p, 3)
+        old = leading_roots_reference(p, 3)
+        for a, b in zip(new, old):
+            assert abs(a.value - b.value) <= 1e-10 * abs(b.value)
+            assert relative_residual(p, a.value) < 1e-12
+        assert new[0].re == pytest.approx(-6.2674e-5, rel=1e-4)
+        assert new[0].im == pytest.approx(6.2774e-4, rel=1e-4)
+
+    def test_underflowing_z(self):
+        # (delta + b1) r = -800: z underflows to 0 and the rightmost root is -(delta + b1)
+        base = dict(n=3.0, beta0=2.0, delta=0.05, k=1.5)
+        s_sum = b1_coefficient(ModelParams(r=1.0, **base)).sum_db1
+        p = ModelParams(r=800.0 / abs(s_sum), **base)
+        lin = b1_coefficient(p)
+        assert lin.k_b1 * p.r * math.exp(lin.sum_db1 * p.r) == 0.0
+        roots = leading_roots(p, 4)
+        assert len(roots) == 4
+        assert roots[0].re == -lin.sum_db1 and roots[0].im == 0.0
+        for z in roots:
+            assert math.isfinite(z.re) and math.isfinite(z.im)
+            assert relative_residual(p, z.value) < 1e-12
+
+    def test_next_to_double_real_root(self):
+        # z = k b1 r e^((delta + b1) r) = -1/e: the two real roots meet
+        base = dict(n=2, beta0=1.0, delta=0.085, k=1.2)
+        lin = b1_coefficient(ModelParams(r=1.0, **base))
+        s_sum, k_b1 = lin.sum_db1, lin.k_b1
+        assert s_sum > 0.0 > k_b1
+        # r e^(s r) = 1/(e |k b1|) is solved by the principal Lambert W branch
+        r0 = lambertw(s_sum / (math.e * abs(k_b1))).real / s_sum
+        for step in range(-6, 7):
+            p = ModelParams(r=r0 * (1.0 + 2e-16 * step), **base)
+            roots = leading_roots(p, 3)
+            assert len(roots) == 3
+            for z in roots:
+                assert relative_residual(p, z.value) < 1e-12, (step, z)
+            assert abs(roots[0].value + s_sum + 1.0 / p.r) < 1e-7
+
+    def test_count_bounds(self, p3):
+        with pytest.raises(PreconditionError):
+            leading_roots(p3, 0)
+        with pytest.raises(PreconditionError):
+            leading_roots(p3, MAX_ROOTS + 1)
+        assert len(leading_roots(p3, 50)) == 50
+
     def test_agreement_with_classifier(self):
         # decisive classifier verdicts must match the spectrum sign
         rng = np.random.default_rng(42)
@@ -194,3 +285,26 @@ class TestLeadingRoots:
                 elif v.state is StabilityState.UNSTABLE:
                     assert top > 1e-9, (p, top)
         assert checked >= 200
+
+    def test_classifier_never_contradicts_spectrum(self):
+        # dense version of the check above: the rightmost root decides stability
+        rng = np.random.default_rng(2024)
+        decided = 0
+        for _ in range(10_000):
+            p = sample_params(rng)
+            v = classify_positive(p)
+            top = leading_roots(p, 1)[0].re
+            if v.state is StabilityState.ASYMPTOTICALLY_STABLE:
+                assert top < -1e-9, (p, top)
+                decided += 1
+            elif v.state is StabilityState.UNSTABLE:
+                assert top > 1e-9, (p, top)
+                decided += 1
+        assert decided > 5_000
+
+
+def relative_residual(p, lam):
+    """Residual of the characteristic equation over the size of its terms."""
+    lin = b1_coefficient(p)
+    scale = abs(lam) + abs(lin.sum_db1) + abs(lin.k_b1 * cmath.exp(-lam * p.r))
+    return characteristic_residual(p, lam) / scale
