@@ -30,12 +30,7 @@ from .linear_analysis import classify_positive, classify_trivial, leading_roots
 from .hopf import load_bautin_table, surface_grid, verify_table
 from .dde_sim import ConstantHistory, eigenmode_history, integrate_y
 from .x_solver import integrate_x
-from .explorer import (
-    OrbitKind,
-    bistability_scan,
-    criticality_probe,
-    zone_classify,
-)
+from .explorer import bistability_scan, criticality_probe, zone_classify
 
 USAGE_ERROR, IO_ERROR, NUMERIC_ERROR = 2, 3, 4
 
@@ -112,12 +107,17 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _emit_json(path: Optional[str], payload):
+    with _open_out(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _emit(cfg: RunConfig, header, rows, payload):
-    with _open_out(cfg.out) as fh:
-        if cfg.fmt == "json":
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
+    if cfg.fmt == "json":
+        _emit_json(cfg.out, payload)
+    else:
+        with _open_out(cfg.out) as fh:
             _emit_rows(fh, header, rows)
 
 
@@ -279,18 +279,11 @@ def cmd_bistability(cfg: RunConfig) -> int:
         "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in result.probes],
         "elapsed_seconds": result.elapsed,
     }
-    with _open_out(cfg.out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit_json(cfg.out, payload)
     amp_csv = opt.get("amplitudes_csv")
     if amp_csv:
         with open(amp_csv, "w", newline="\n") as fh:
-            rows = []
-            for p in sorted(result.probes, key=lambda p: p.c):
-                amp = p.orbit.cycle.amplitude if p.orbit.cycle is not None else 0.0
-                if p.orbit.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM:
-                    amp = 0.0
-                rows.append([p.c, amp])
+            rows = [[p.c, p.orbit.tail_amplitude] for p in sorted(result.probes, key=lambda p: p.c)]
             _emit_rows(fh, ["c", "amplitude_tail"], rows)
     return 0
 
@@ -319,9 +312,7 @@ def cmd_criticality(cfg: RunConfig) -> int:
         ],
         "fit": {"slope": report.slope, "intercept": report.intercept, "r_squared": report.r_squared},
     }
-    with _open_out(cfg.out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit_json(cfg.out, payload)
     return 0
 
 
@@ -335,9 +326,7 @@ def cmd_zone(cfg: RunConfig) -> int:
         "equilibrium_state": report.equilibrium_state.value,
         "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in report.probes],
     }
-    with _open_out(cfg.out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit_json(cfg.out, payload)
     return 0
 
 

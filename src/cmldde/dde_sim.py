@@ -28,6 +28,26 @@ from .linear_analysis import leading_roots
 #: default steps per delay interval
 STEPS_PER_DELAY = 64
 
+#: most grid nodes (history plus steps) one run may allocate: 128 MiB per array
+MAX_NODES = 2**24
+
+
+def _hermite(y0, y1, f0, f1, th, h, order):
+    """Cubic Hermite interpolant (order 0) or its derivative (order 1) at
+    fraction th of a step h with end values y0, y1 and end slopes f0, f1."""
+    if order == 0:
+        return (
+            (1.0 + th * th * (2.0 * th - 3.0)) * y0
+            + th * (th - 1.0) ** 2 * h * f0
+            + th * th * (3.0 - 2.0 * th) * y1
+            + th * th * (th - 1.0) * h * f1
+        )
+    return (
+        6.0 * th * (th - 1.0) * (y0 - y1) / h
+        + (3.0 * th * th - 4.0 * th + 1.0) * f0
+        + th * (3.0 * th - 2.0) * f1
+    )
+
 
 class History:
     """Initial function on [-r, 0]; subclasses give values and derivatives."""
@@ -94,33 +114,19 @@ class SampledHistory(History):
         else:
             self.derivatives = np.gradient(self.values, self.times)
 
-    def _eval(self, s, deriv):
-        s = np.clip(np.asarray(s, dtype=float), self.times[0], self.times[-1])
-        idx = np.clip(np.searchsorted(self.times, s, side="right") - 1, 0, self.times.size - 2)
+    def _eval(self, s, order):
+        x = np.clip(np.asarray(s, dtype=float), self.times[0], self.times[-1])
+        idx = np.clip(np.searchsorted(self.times, x, side="right") - 1, 0, self.times.size - 2)
         h = self.times[idx + 1] - self.times[idx]
-        th = (s - self.times[idx]) / h
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        f0, f1 = self.derivatives[idx], self.derivatives[idx + 1]
-        if not deriv:
-            return (
-                (1.0 + th * th * (2.0 * th - 3.0)) * y0
-                + th * (th - 1.0) ** 2 * h * f0
-                + th * th * (3.0 - 2.0 * th) * y1
-                + th * th * (th - 1.0) * h * f1
-            )
-        return (
-            6.0 * th * (th - 1.0) * (y0 - y1) / h
-            + (3.0 * th * th - 4.0 * th + 1.0) * f0
-            + th * (3.0 * th - 2.0) * f1
-        )
+        out = _hermite(self.values[idx], self.values[idx + 1], self.derivatives[idx],
+                       self.derivatives[idx + 1], (x - self.times[idx]) / h, h, order)
+        return out if np.ndim(s) else float(out)
 
     def value(self, s):
-        out = self._eval(s, deriv=False)
-        return out if np.ndim(s) else float(out)
+        return self._eval(s, 0)
 
     def derivative(self, s):
-        out = self._eval(s, deriv=True)
-        return out if np.ndim(s) else float(out)
+        return self._eval(s, 1)
 
 
 @dataclass(frozen=True)
@@ -148,57 +154,35 @@ class Trajectory:
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.values.size - 1)
 
-    def _hermite(self, t, deriv):
-        t = np.asarray(t, dtype=float)
-        pos = (t - self.t0) / self.dt
-        idx = np.clip(np.floor(pos).astype(int), 0, self.values.size - 2)
-        th = pos - idx
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        f0, f1 = self.derivs[idx], self.derivs[idx + 1]
-        if not deriv:
-            return (
-                (1.0 + th * th * (2.0 * th - 3.0)) * y0
-                + th * (th - 1.0) ** 2 * self.dt * f0
-                + th * th * (3.0 - 2.0 * th) * y1
-                + th * th * (th - 1.0) * self.dt * f1
-            )
-        return (
-            6.0 * th * (th - 1.0) * (y0 - y1) / self.dt
-            + (3.0 * th * th - 4.0 * th + 1.0) * f0
-            + th * (3.0 * th - 2.0) * f1
-        )
-
-    def value_at(self, t):
-        """Value at arbitrary times inside the covered span (vectorized)."""
+    def _dense(self, t, order):
+        # values take the history for t <= 0, derivatives only for t < 0: at
+        # t = 0 the derivative is the solution's right-hand one, node f[m]
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         slack = 1e-9 * max(1.0, abs(self.t_end))  # roundoff from t0 + dt*i sums
         if np.any(t_arr < self.t0 - slack) or np.any(t_arr > self.t_end + slack):
             raise DomainError("evaluation outside the covered span")
-        out = np.empty_like(t_arr)
-        past = t_arr <= 0.0
-        if self.history is not None and np.any(past):
-            out[past] = self.history.value(t_arr[past])
-            if np.any(~past):
-                out[~past] = self._hermite(t_arr[~past], deriv=False)
+        past = t_arr <= 0.0 if order == 0 else t_arr < 0.0
+        if self.history is None or not past.any():
+            out = self._interpolate(t_arr, order)
         else:
-            out[:] = self._hermite(t_arr, deriv=False)
+            out = np.empty_like(t_arr)
+            out[past] = (self.history.derivative if order else self.history.value)(t_arr[past])
+            out[~past] = self._interpolate(t_arr[~past], order)
         return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+
+    def _interpolate(self, t, order):
+        pos = (t - self.t0) / self.dt
+        idx = np.clip(np.floor(pos).astype(int), 0, self.values.size - 2)
+        return _hermite(self.values[idx], self.values[idx + 1], self.derivs[idx],
+                        self.derivs[idx + 1], pos - idx, self.dt, order)
+
+    def value_at(self, t):
+        """Value at arbitrary times inside the covered span (vectorized)."""
+        return self._dense(t, 0)
 
     def derivative_at(self, t):
         """Derivative at arbitrary times inside the covered span (vectorized)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        slack = 1e-9 * max(1.0, abs(self.t_end))
-        if np.any(t_arr < self.t0 - slack) or np.any(t_arr > self.t_end + slack):
-            raise DomainError("evaluation outside the covered span")
-        out = np.empty_like(t_arr)
-        past = t_arr < 0.0
-        if self.history is not None and np.any(past):
-            out[past] = self.history.derivative(t_arr[past])
-            if np.any(~past):
-                out[~past] = self._hermite(t_arr[~past], deriv=True)
-        else:
-            out[:] = self._hermite(t_arr, deriv=True)
-        return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
+        return self._dense(t, 1)
 
     def window(self, t_lo: float, t_hi: float):
         """(times, values) of stored nodes with t_lo <= t <= t_hi."""
@@ -221,14 +205,16 @@ class Trajectory:
 
 
 def _resolve_steps(r: float, dt: float) -> int:
-    # adjust dt downward so that r/dt is a positive integer
-    return max(1, int(math.ceil(r / dt - 1e-12)))
+    # adjust dt downward so that r/dt is a positive integer; saturates at
+    # MAX_NODES, so an overflowing ratio still yields an int the cap rejects
+    return max(1, int(math.ceil(min(r / dt, MAX_NODES) - 1e-12)))
 
 
 def _count_steps(t_end: float, dt: float) -> int:
     # smallest step count covering t_end, tolerant of t_end values assembled
-    # as t0 + dt*i sums (slightly above an exact multiple of dt)
-    q = t_end / dt
+    # as t0 + dt*i sums (slightly above an exact multiple of dt); saturates
+    # at MAX_NODES like _resolve_steps
+    q = min(t_end / dt, MAX_NODES)
     return max(1, int(math.ceil(q - 1e-9 - 1e-12 * q)))
 
 
@@ -241,19 +227,26 @@ def integrate_y(
     """Integrate the resting-cell equation from the given initial function.
 
     Returns a trajectory covering [-r, t_end] (history prepended). Raises
-    IntegrationError with the last valid time if the run goes non-finite.
+    DomainError, before allocating, when the grid would exceed MAX_NODES
+    nodes, and IntegrationError with the last valid time if the run goes
+    non-finite.
     """
-    if t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end}")
     if dt is None:
         dt = params.r / STEPS_PER_DELAY
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     m = _resolve_steps(params.r, dt)
     dt = params.r / m
     nsteps = _count_steps(t_end, dt)
 
     n_nodes = m + nsteps + 1
+    if n_nodes > MAX_NODES:
+        raise DomainError(
+            f"the run to t_end = {t_end:g} needs more than {MAX_NODES} grid nodes; "
+            "raise dt or shorten t_end"
+        )
     y = np.empty(n_nodes)
     f = np.empty(n_nodes)
     s_nodes = -params.r + dt * np.arange(m + 1)

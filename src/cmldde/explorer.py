@@ -66,6 +66,13 @@ class OrbitClass:
     kind: OrbitKind
     cycle: Optional[CycleEstimate] = None
 
+    @property
+    def tail_amplitude(self) -> float:
+        """Amplitude of the trailing cycle; 0 when the orbit converges or shows none."""
+        if self.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM or self.cycle is None:
+            return 0.0
+        return self.cycle.amplitude
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -316,12 +323,8 @@ def criticality_probe(
         params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=r_h + dr)
         eq = positive_equilibrium(params)
         c = seed_c if seed_c is not None else 0.01 * eq.y_star
-        traj = integrate_y(params, eigenmode_history(params, c), horizon, dt)
-        orbit = classify_orbit(traj, eq.y_star, horizon)
-        amp = orbit.cycle.amplitude if orbit.cycle is not None else 0.0
-        if orbit.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM:
-            amp = 0.0
-        points.append(CriticalityPoint(offset=dr, amplitude=amp, kind=orbit.kind))
+        orbit = _probe(params, c, horizon, dt, eq.y_star).orbit
+        points.append(CriticalityPoint(offset=dr, amplitude=orbit.tail_amplitude, kind=orbit.kind))
 
     below = [p for p in points if p.offset < 0.0]
     above = [p for p in points if p.offset > 0.0]

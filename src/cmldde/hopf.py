@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import NoHopfError, PreconditionError
+from .errors import ConditioningError, NoHopfError, PreconditionError
 from .model import ModelParams, b1_value
 
 
@@ -63,8 +64,24 @@ class HopfSurface:
     r_hopf: np.ndarray  # shape (len(k), len(delta))
 
 
+def _crossing_frequency(s_sum: float, k_b1: float) -> float:
+    """omega_H = sqrt((k b1)^2 - (delta + b1)^2) for s_sum = delta + b1 and k_b1 = k b1.
+
+    Raises ConditioningError when the squares overflow, underflow or cancel so
+    far that omega_H is not a normal positive double. A normal omega_H keeps
+    r_H = theta/omega_H finite for every theta in [0, pi].
+    """
+    omega_h = math.sqrt(k_b1 * k_b1 - s_sum * s_sum)
+    if not sys.float_info.min <= omega_h < math.inf:
+        raise ConditioningError(
+            f"crossing frequency omega_H = {omega_h} is not a normal positive double"
+        )
+    return omega_h
+
+
 def _threshold_pieces(n: float, beta0: float, k: float, delta: float) -> tuple[float, float]:
-    """(arccos term, radical omega_H); raises NoHopfError when undefined."""
+    """(arccos term, radical omega_H); raises NoHopfError when undefined and
+    ConditioningError when omega_H is out of range."""
     b1 = b1_value(n, beta0, k, delta)
     if b1 >= 0.0:
         raise NoHopfError(f"b1 = {b1:.6g} >= 0: no delay-induced instability")
@@ -75,8 +92,7 @@ def _threshold_pieces(n: float, beta0: float, k: float, delta: float) -> tuple[f
         raise NoHopfError(
             f"(delta + b1)/(k b1) = {ratio:.6g} outside (-1, 1): no crossing frequency"
         )
-    omega_h = math.sqrt(k_b1 * k_b1 - s_sum * s_sum)
-    return math.acos(ratio), omega_h
+    return math.acos(ratio), _crossing_frequency(s_sum, k_b1)
 
 
 def hopf_delay(n: float, beta0: float, k: float, delta: float) -> float:
@@ -108,6 +124,7 @@ def surface_grid(
 
     Cells where no threshold exists (no positive equilibrium, b1 >= 0, or no
     crossing frequency) are NaN; they trace the domain boundary of the surface.
+    Cells whose threshold lies outside the double range are NaN as well.
     """
     nk, nd = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nk < 2 or nd < 2:
@@ -121,7 +138,7 @@ def surface_grid(
         for j, d in enumerate(ds):
             try:
                 grid[i, j] = hopf_delay(n, beta0, k, d)
-            except (NoHopfError, PreconditionError):
+            except (NoHopfError, PreconditionError, ConditioningError):
                 pass
     return HopfSurface(n=n, beta0=beta0, k=ks, delta=ds, r_hopf=grid)
 

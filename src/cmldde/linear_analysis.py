@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import wrightomega
 
-from .errors import PreconditionError, RootNotFoundError
+from .errors import ConditioningError, PreconditionError, RootNotFoundError
+from .hopf import _crossing_frequency
 from .model import ModelParams, b1_coefficient
 
 #: absolute tolerance for the measure-zero marginal case of the trivial branch
@@ -79,49 +80,42 @@ def classify_trivial(params: ModelParams) -> StabilityVerdict:
                             {"renewal_ratio": ratio})
 
 
-def _omega_bracket_fn(s_sum: float, r: float):
-    # reformulation of omega cot(omega r) = -(delta + b1) without the cot pole
-    def f(w: float) -> float:
-        return w * math.cos(w * r) + s_sum * math.sin(w * r)
-
-    return f
-
-
 def omega0(params: ModelParams) -> float:
     """Root in (0, pi/r) of omega cot(omega r) = -(delta + b1).
 
-    Solved as omega cos(omega r) + (delta + b1) sin(omega r) = 0 by bisection
-    on (1e-9, pi/r - 1e-9); raises RootNotFoundError when the bracket shows no
-    sign change.
+    Solved in u = omega r as cos u + (delta + b1) r sin(u)/u = 0 by bisection
+    on (0, pi), which is free of the scale of r; a root exists iff
+    1 + (delta + b1) r > 0, and RootNotFoundError is raised otherwise.
+    ConditioningError is raised when omega = u/r leaves the double range.
     """
     lin = b1_coefficient(params)
     return _omega0(lin.sum_db1, params.r)
 
 
 def _omega0(s_sum: float, r: float) -> float:
-    f = _omega_bracket_fn(s_sum, r)
-    lo, hi = 1e-9, math.pi / r - 1e-9
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    a = s_sum * r
+    if not 1.0 + a > 0.0:
         raise RootNotFoundError(
             f"omega cot(omega r) = {-s_sum} has no root in (0, pi/r) at r = {r}"
         )
-    for _ in range(200):
+    # g(u) = cos u + a sin(u)/u falls from 1 + a > 0 at u = 0 to -1 at u = pi;
+    # the endpoints are never evaluated, so sin(pi) != 0 in floats cannot mislead
+    lo, hi = 0.0, math.pi
+    while True:
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= 1e-17 * hi:
+        if mid == lo or mid == hi:
             break
-    return 0.5 * (lo + hi)
+        g = math.cos(mid) + a * math.sin(mid) / mid
+        if g == 0.0:
+            lo = hi = mid
+        elif g > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    w = 0.5 * (lo + hi) / r
+    if not 0.0 < w < math.inf:
+        raise ConditioningError(f"omega0 = {w} is outside the double range at r = {r}")
+    return w
 
 
 def classify_positive(params: ModelParams) -> StabilityVerdict:
@@ -139,52 +133,34 @@ def classify_positive(params: ModelParams) -> StabilityVerdict:
 
     if b1 > 0.0:
         return StabilityVerdict(StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_6, detail)
-    if b1 == 0.0:
-        # characteristic equation collapses to lambda = -delta; outside the
-        # classified cases, so report it as such
+    if b1 == 0.0 or s_sum == 0.0:
+        # b1 = 0: the characteristic equation collapses to lambda = -delta;
+        # delta + b1 = 0: boundary of the two case trees. Both lie outside
+        # the classified cases, so report them as such
         return StabilityVerdict(StabilityState.UNDETERMINED, VerdictSource.NONE, detail)
+    if s_sum > abs(k_b1):
+        return StabilityVerdict(StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_5, detail)
 
-    ratio = s_sum / k_b1  # both sides negative when s_sum < 0
-    if s_sum < 0.0:
-        # here |delta + b1| < |k b1| automatically (k > 1 and delta > 0)
-        theta = math.acos(ratio)
-        detail["arccos_ratio"] = theta
-        if r < 1.0 / abs(s_sum):
-            w0 = _omega0(s_sum, r)
-            detail["omega0"] = w0
-            if theta / w0 < r:
-                return StabilityVerdict(
-                    StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_4, detail
-                )
-        r_h = theta / math.sqrt(k_b1 * k_b1 - s_sum * s_sum)
+    # k b1 < 0 here; for delta + b1 < 0, |delta + b1| < |k b1| automatically
+    # (k > 1 and delta > 0), so the ratio lies in [-1, 1] up to roundoff
+    theta = math.acos(max(-1.0, min(1.0, s_sum / k_b1)))
+    detail["arccos_ratio"] = theta
+    if s_sum > 0.0 or r < 1.0 / abs(s_sum):
+        w0 = _omega0(s_sum, r)
+        detail["omega0"] = w0
+        if s_sum < 0.0 and theta / w0 < r:
+            return StabilityVerdict(
+                StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_4, detail
+            )
+        if s_sum > 0.0 and r < theta / w0:
+            return StabilityVerdict(
+                StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_5, detail
+            )
+    if s_sum < abs(k_b1):
+        r_h = theta / _crossing_frequency(s_sum, k_b1)
         detail["r_hopf"] = r_h
         if r > r_h:
             return StabilityVerdict(StabilityState.UNSTABLE, VerdictSource.HOPF_EXCEEDED, detail)
-        return StabilityVerdict(StabilityState.UNDETERMINED, VerdictSource.NONE, detail)
-
-    if s_sum > 0.0:
-        if s_sum > abs(k_b1):
-            return StabilityVerdict(
-                StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_5, detail
-            )
-        theta = math.acos(max(-1.0, min(1.0, ratio)))
-        detail["arccos_ratio"] = theta
-        w0 = _omega0(s_sum, r)
-        detail["omega0"] = w0
-        if r < theta / w0:
-            return StabilityVerdict(
-                StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_5, detail
-            )
-        if s_sum < abs(k_b1):
-            r_h = theta / math.sqrt(k_b1 * k_b1 - s_sum * s_sum)
-            detail["r_hopf"] = r_h
-            if r > r_h:
-                return StabilityVerdict(
-                    StabilityState.UNSTABLE, VerdictSource.HOPF_EXCEEDED, detail
-                )
-        return StabilityVerdict(StabilityState.UNDETERMINED, VerdictSource.NONE, detail)
-
-    # s_sum == 0: boundary of the two case trees
     return StabilityVerdict(StabilityState.UNDETERMINED, VerdictSource.NONE, detail)
 
 
@@ -206,6 +182,7 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
     branches nearest theta = 0 hold the rightmost roots; theta = -pi adds the
     second real root that exists when -1/e <= z < 0. Each conjugate pair is
     reported once (im >= 0); `count` roots are returned, or one when b1 = 0.
+    Raises ConditioningError when a returned root would not be finite.
     """
     if not 1 <= count <= MAX_ROOTS:
         raise PreconditionError(f"count must be in [1, {MAX_ROOTS}], got {count}")
@@ -235,4 +212,7 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
     fresh = np.ones(w.size, dtype=bool)
     fresh[1:] = np.abs(np.diff(w)) > 1e-9 * np.abs(w[1:])
     keep = np.flatnonzero(fresh)[:count]
-    return [CharacteristicRoot(float(re[i]), float(im[i])) for i in keep]
+    roots = [CharacteristicRoot(float(re[i]), float(im[i])) for i in keep]
+    if not all(math.isfinite(root.re) and math.isfinite(root.im) for root in roots):
+        raise ConditioningError("a characteristic root lies outside the double range")
+    return roots

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import ConditioningError, DomainError, PreconditionError
 
 
 def gamma_of(k: float, r: float) -> float:
@@ -111,11 +111,7 @@ def rhs_y(y_now, y_delayed, params: ModelParams):
 
 def rhs_x(x_now, y_now, y_delayed, params: ModelParams):
     """Right-hand side of the proliferating-cell equation (forced, linear in x)."""
-    return (
-        -params.gamma * x_now
-        + feedback(y_now, params.beta0, params.n)
-        - 0.5 * params.k * feedback(y_delayed, params.beta0, params.n)
-    )
+    return -params.gamma * x_now + forcing(y_now, y_delayed, params)
 
 
 def forcing(y_now, y_delayed, params: ModelParams):
@@ -130,7 +126,8 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
 
     The positive branch requires beta0 (k - 1)/delta > 1 (strict); its resting
     level is y2 = (beta0 (k-1)/delta - 1)^(1/n) and the proliferating level is
-    x2 = (2 - k)/(2 gamma) * feedback(y2).
+    x2 = (2 - k)/(2 gamma) * feedback(y2). Raises ConditioningError when y2 or
+    x2 lies outside the double range.
     """
     out = [Equilibrium(0.0, 0.0, EquilibriumKind.TRIVIAL)]
     if params.has_positive_equilibrium:
@@ -141,6 +138,8 @@ def equilibria(params: ModelParams) -> list[Equilibrium]:
             )
         y2 = hill_pow(params.renewal_ratio - 1.0, 1.0 / params.n)
         x2 = (2.0 - params.k) / (2.0 * params.gamma) * feedback(y2, params.beta0, params.n)
+        if not (math.isfinite(y2) and math.isfinite(x2)):
+            raise ConditioningError(f"positive equilibrium (x2, y2) = ({x2}, {y2}) is not finite")
         out.append(Equilibrium(x2, y2, EquilibriumKind.POSITIVE))
     return out
 
@@ -159,14 +158,20 @@ def b1_value(n: float, beta0: float, k: float, delta: float) -> float:
     """Feedback slope at the positive equilibrium, in closed form.
 
     b1 = (delta/(k-1)) [n delta / (beta0 (k-1)) - n + 1]; valid whenever the
-    positive equilibrium exists.
+    positive equilibrium exists; ConditioningError when it is not finite.
     """
     if beta0 * (k - 1.0) / delta <= 1.0:
         raise PreconditionError("b1 is defined only when the positive equilibrium exists")
-    return (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
+    b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
+    if not math.isfinite(b1):
+        raise ConditioningError(f"feedback slope b1 = {b1} is not finite")
+    return b1
 
 
 def b1_coefficient(params: ModelParams) -> LinearizationData:
-    """Linearization data at the positive equilibrium."""
+    """Linearization data at the positive equilibrium; ConditioningError when not finite."""
     b1 = b1_value(params.n, params.beta0, params.k, params.delta)
-    return LinearizationData(b1=b1, sum_db1=params.delta + b1, k_b1=params.k * b1)
+    lin = LinearizationData(b1=b1, sum_db1=params.delta + b1, k_b1=params.k * b1)
+    if not (math.isfinite(lin.sum_db1) and math.isfinite(lin.k_b1)):
+        raise ConditioningError(f"delta + b1 = {lin.sum_db1} or k b1 = {lin.k_b1} is not finite")
+    return lin

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
-from .model import Equilibrium, EquilibriumKind, ModelParams, feedback, positive_equilibrium
+from .model import Equilibrium, EquilibriumKind, ModelParams, forcing, positive_equilibrium
 from .dde_sim import Trajectory, _count_steps
 
 
@@ -53,11 +53,15 @@ class ConvergenceReport:
     window_sups: tuple[float, float]
 
 
+def _clamped_forcing(params: ModelParams, y_now, y_delayed):
+    # interpolated y may dip just below 0, where the Hill flux is undefined
+    clamp = lambda v: np.maximum(v, 0.0)
+    return forcing(clamp(y_now), clamp(y_delayed), params)
+
+
 def _forcing_arrays(params: ModelParams, y_traj: Trajectory, t_nodes: np.ndarray):
-    fb = lambda v: feedback(v, params.beta0, params.n)
-    f_now = fb(np.maximum(y_traj.value_at(t_nodes), 0.0))
-    f_del = fb(np.maximum(y_traj.value_at(t_nodes - params.r), 0.0))
-    return f_now - 0.5 * params.k * f_del
+    y_now, y_delayed = y_traj.value_at(t_nodes), y_traj.value_at(t_nodes - params.r)
+    return _clamped_forcing(params, y_now, y_delayed)
 
 
 def forcing_trace(params: ModelParams, y_traj: Trajectory, reference: Equilibrium | None = None) -> ForcingTrace:
@@ -90,8 +94,8 @@ def integrate_x(
     """
     if t_end is None:
         t_end = y_traj.t_end
-    if t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end must be positive and finite, got {t_end}")
     if y_traj.t_end < t_end - 1e-9 or y_traj.t0 > -params.r + 1e-9:
         raise PreconditionError("y trajectory does not cover [-r, t_end]")
     dt = y_traj.dt
@@ -156,9 +160,8 @@ def periodic_x0(params: ModelParams, times: np.ndarray, values: np.ndarray) -> P
     spline = CubicSpline(times, closed, bc_type="periodic")
     eq = positive_equilibrium(params)
 
-    fb = lambda v: feedback(np.maximum(v, 0.0), params.beta0, params.n)
     delayed = times[0] + np.mod(times - params.r - times[0], period)
-    h = fb(values) - 0.5 * params.k * fb(spline(delayed)) - params.gamma * eq.x_star
+    h = _clamped_forcing(params, values, spline(delayed)) - params.gamma * eq.x_star
     base = periodic_response(params.gamma, times, h)
     return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
 

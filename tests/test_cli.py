@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,21 @@ class TestSimulate:
 
     def test_zero_t_end_usage_error(self):
         assert main(["simulate", *SEC3, "--r", "0.36", "--t-end", "0"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--t-end", "nan"), ("--t-end", "inf"),
+                                             ("--dt", "nan"), ("--dt", "inf")])
+    def test_non_finite_time_usage_error(self, flag, value):
+        assert main(["simulate", *SEC3, "--r", "0.36", flag, value]) == 2
+
+    def test_node_cap_usage_error(self, tmp_path, capsys):
+        # 7.2e10 nodes would be needed: rejected before anything is allocated
+        out = tmp_path / "y.csv"
+        started = time.perf_counter()
+        code = main(["simulate", *SEC3, "--r", "0.36", "--dt", "1e-9", "--out", str(out)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "grid nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_stride_usage_error(self, tmp_path):
         out = tmp_path / "y.csv"
@@ -274,6 +290,7 @@ class TestArbitraryParameters:
     """Any parameter values end in a documented exit code, never in a traceback."""
 
     @settings(max_examples=300, deadline=None)
+    @example("equilibria", _values(1e300, 1e300, 1e-300, 1.5, 1e300), "csv")  # y2 overflows
     @example("stability", _values(2.0, 1e300, 1e-300, 1.5, 1e300), "csv")  # r_H divides by 0
     @example("stability", _values(1e300, 1e300, 1e-300, 2.0, 5e-324), "csv")  # cos(inf)
     @example("stability", _values(1e300, 1e300, 1e8, 2.0, 1e300), "csv")  # b1 is NaN
@@ -292,3 +309,30 @@ class TestArbitraryParameters:
             code = main(argv)
         assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code == 0:
+            text = out.getvalue()
+            if fmt == "json":
+                numbers = _json_numbers(json.loads(text))
+            else:
+                cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+                numbers = [float(c) for c in cells if _is_number(c)]
+            assert all(math.isfinite(x) for x in numbers), (argv, text)
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _json_numbers(node):
+    # json.loads reads NaN and Infinity as floats
+    if isinstance(node, dict):
+        return [x for v in node.values() for x in _json_numbers(v)]
+    if isinstance(node, list):
+        return [x for v in node for x in _json_numbers(v)]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [float(node)]
+    return []

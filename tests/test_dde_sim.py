@@ -17,6 +17,7 @@ from cmldde import (
     leading_roots,
     positive_equilibrium,
 )
+from cmldde import dde_sim
 from conftest import sample_params
 from _oracles import dde_reference
 
@@ -87,6 +88,21 @@ class TestIntegrateY:
             integrate_y(p3, ConstantHistory(1.0), 0.0)
         with pytest.raises(DomainError):
             integrate_y(p3, ConstantHistory(1.0), 10.0, dt=-0.1)
+
+    @pytest.mark.parametrize("t_end, dt", [(np.nan, None), (np.inf, None), (10.0, np.nan),
+                                           (10.0, np.inf), (np.inf, 1e-300)])
+    def test_non_finite_times_rejected(self, p3, t_end, dt):
+        with pytest.raises(DomainError):
+            integrate_y(p3, ConstantHistory(1.0), t_end, dt)
+
+    def test_node_cap(self, p3):
+        # the cap holds before allocation, also where r/dt overflows
+        dt = p3.r / 64
+        steps = dde_sim.MAX_NODES - 64 - 1
+        assert 64 + dde_sim._count_steps(steps * dt, dt) + 1 == dde_sim.MAX_NODES
+        for t_end, step in ((steps * dt + dt, dt), (10.0, 1e-9), (10.0, 5e-324)):
+            with pytest.raises(DomainError, match="grid nodes"):
+                integrate_y(p3, ConstantHistory(1.0), t_end, step)
 
     def test_non_finite_detected(self, p3):
         ts = np.linspace(-p3.r, 0.0, 16)
@@ -167,6 +183,25 @@ class TestTrajectory:
         traj = integrate_y(p3, hist, 20.0)
         s = np.linspace(-p3.r, 0.0, 23)
         assert traj.value_at(s) == pytest.approx(hist.value(s), abs=1e-15)
+
+    def test_dense_output_contract(self):
+        # r = 8 gives dt = 1/8, so node times and the off-node times below are
+        # exact and both index lookups see the same step fraction
+        p = ModelParams(n=2, beta0=2.5, delta=0.0015, k=1.01, r=8.0)
+        traj = integrate_y(p, eigenmode_history(p, 0.3), 40.0)
+        m = traj.delay_steps
+        assert traj.value_at(0.0) == traj.history.value(0.0)
+        # at t = 0 the derivative is the solution's right-hand one, not the history's
+        assert traj.derivative_at(0.0) == traj.derivs[m]
+        assert traj.derivative_at(0.0) != traj.history.derivative(0.0)
+        assert traj.derivative_at(-1e-9) == traj.history.derivative(-1e-9)
+
+        sampled = SampledHistory(traj.times, traj.values, traj.derivs)
+        fractions = np.array([0.125, 0.25, 0.5, 0.75])
+        nodes = traj.times[m + 1:-1]
+        t = nodes + traj.dt * fractions[np.arange(nodes.size) % fractions.size]
+        assert np.array_equal(sampled.value(t), traj.value_at(t))
+        assert np.array_equal(sampled.derivative(t), traj.derivative_at(t))
 
     def test_out_of_span_rejected(self, p3):
         traj = integrate_y(p3, ConstantHistory(1.0), 10.0)

@@ -6,6 +6,7 @@ import pytest
 
 from cmldde import (
     BautinRow,
+    ConditioningError,
     NoHopfError,
     PreconditionError,
     b1_value,
@@ -32,6 +33,11 @@ class TestHopfDelay:
             for k in (1.1, 1.5, 1.9):
                 with pytest.raises(NoHopfError):
                     hopf_delay(1.0, beta0, k, beta0 * (k - 1.0) / 5.0)
+
+    def test_vanishing_crossing_frequency(self):
+        # b1 = -2e-300: the squares under omega_H underflow to 0
+        with pytest.raises(ConditioningError):
+            hopf_delay(2, 1e300, 1.5, 1e-300)
 
     def test_dominant_sum_never_crosses(self):
         # b1 < 0 but |delta + b1| >= |k b1|

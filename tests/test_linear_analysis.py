@@ -7,6 +7,7 @@ import pytest
 from scipy.special import lambertw
 
 from cmldde import (
+    ConditioningError,
     ModelParams,
     PreconditionError,
     RootNotFoundError,
@@ -72,6 +73,37 @@ class TestOmega0:
         with pytest.raises(RootNotFoundError):
             _omega0(-5.0, 1.0)
 
+    def test_long_delay(self):
+        # u = omega r solves u cot u = -a, a = (delta + b1) r, so for large a
+        # u = pi a/(1 + a) up to O(a^-3); an absolute bracket offset of 1e-9
+        # would exceed the whole interval (0, pi/r) = (0, 3.1e-9)
+        s, r = 0.3, 1e9
+        a = s * r
+        w = _omega0(s, r)
+        assert 0.0 < w < math.pi / r
+        assert w == pytest.approx(math.pi * a / ((1.0 + a) * r), rel=1e-12)
+
+    def test_long_delay_classifies(self):
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 50:
+            p = sample_params(rng)
+            if b1_coefficient(p).sum_db1 <= 0.0:
+                continue
+            p = ModelParams(n=p.n, beta0=p.beta0, delta=p.delta, k=p.k, r=1e9)
+            verdict = classify_positive(p)
+            if "omega0" in verdict.detail:
+                assert 0.0 < verdict.detail["omega0"] * p.r < math.pi
+            checked += 1
+
+    def test_subnormal_delay(self):
+        # u = omega r stays near pi/2 for tiny (delta + b1) r; omega = u/r is
+        # finite at r = 1e-308 and past the double range at r = 5e-324
+        w = _omega0(0.3, 1e-308)
+        assert w * 1e-308 == pytest.approx(math.pi / 2.0, rel=1e-12)
+        with pytest.raises(ConditioningError):
+            _omega0(0.3, 5e-324)
+
     def test_residual_and_interval_randomized(self):
         rng = np.random.default_rng(6)
         checked = 0
@@ -133,6 +165,12 @@ class TestClassifyPositive:
         v_out = classify_positive(ModelParams(r=1.05 * r_h, **base))
         assert v_out.state is StabilityState.UNSTABLE
         assert v_out.source is VerdictSource.HOPF_EXCEEDED
+
+    def test_vanishing_crossing_frequency(self):
+        # (k b1)^2 and (delta + b1)^2 underflow to 0, so r_H = theta/omega_H is undefined
+        p = ModelParams(n=2, beta0=1e300, delta=1e-300, k=1.5, r=1e300)
+        with pytest.raises(ConditioningError):
+            classify_positive(p)
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(7)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cmldde import (
+    ConditioningError,
     DomainError,
     EquilibriumKind,
     ModelParams,
     PreconditionError,
     b1_coefficient,
+    b1_value,
     equilibria,
     feedback,
     gamma_of,
@@ -112,6 +114,12 @@ class TestEquilibria:
         with pytest.raises(PreconditionError):
             positive_equilibrium(p)
 
+    def test_overflowing_level_rejected(self):
+        # renewal ratio 5e599 overflows: y2 = inf, x2 = nan
+        p = ModelParams(n=2, beta0=1e300, delta=1e-300, k=1.5, r=1e300)
+        with pytest.raises(ConditioningError):
+            equilibria(p)
+
     def test_degenerate_k2_guarded(self):
         p = ModelParams(n=2, beta0=2.0, delta=0.5, k=2.0, r=1.0)
         assert p.gamma == 0.0
@@ -138,6 +146,11 @@ class TestB1:
         expected = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
         assert b1_coefficient(p).b1 == pytest.approx(expected, rel=1e-14)
         assert b1_coefficient(p).b1 == pytest.approx(-2.5241981, rel=1e-6)
+
+    def test_overflow_rejected(self):
+        # (delta/(k-1)) (n delta/(beta0 (k-1)) - n + 1) = 2e300 * (-8e9) overflows
+        with pytest.raises(ConditioningError):
+            b1_value(1e10, 1e301, 1.5, 1e300)
 
     def test_requires_positive_equilibrium(self):
         p = ModelParams(n=2, beta0=1.0, delta=1.0, k=1.5, r=1.0)

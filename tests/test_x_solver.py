@@ -7,6 +7,7 @@ from scipy.integrate import quad, solve_ivp
 from cmldde import (
     ConditioningError,
     ConstantHistory,
+    DomainError,
     PreconditionError,
     Trajectory,
     convergence_check,
@@ -83,6 +84,12 @@ class TestIntegrateX:
         y_traj = integrate_y(p3, ConstantHistory(1.0), 50.0)
         with pytest.raises(PreconditionError):
             integrate_x(p3, y_traj, 0.0, t_end=80.0)
+
+    @pytest.mark.parametrize("t_end", [0.0, math.nan, math.inf])
+    def test_t_end_domain(self, p3, t_end):
+        y_traj = integrate_y(p3, ConstantHistory(1.0), 50.0)
+        with pytest.raises(DomainError):
+            integrate_x(p3, y_traj, 0.0, t_end=t_end)
 
 
 class TestPeriodicResponse:
