@@ -1,19 +1,23 @@
 """Command-line front end: every analysis as a subcommand with CSV/JSON output.
 
-Output is data only; plotting is left to external tools. Exit codes: 0 on
-success, 2 for usage or parameter-domain errors, 3 for I/O errors, 4 for
-numerical failures.
+Each subcommand reads the argparse namespace directly, so every flag's default
+and required status is declared once, in build_parser. Output is data only;
+plotting is left to external tools. The JSON of bistability, criticality and
+zone opens with an "inputs" block: the command, the model parameters, every
+other flag under "options", the --out path, and "fmt" (always "csv" for these
+JSON-only commands). Exit codes: 0 on success, 2 for usage or
+parameter-domain errors (a missing or malformed flag gets argparse's usage
+message; non-finite initial data, an oversized hopf-surface grid and a bad
+tolerance are domain errors), 3 for I/O errors, 4 for numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -34,47 +38,25 @@ from .explorer import bistability_scan, criticality_probe, zone_classify
 
 USAGE_ERROR, IO_ERROR, NUMERIC_ERROR = 2, 3, 4
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on; serializes losslessly."""
-
-    command: str
-    params: dict
-    options: dict
-    out: Optional[str]
-    fmt: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
-
 _PARAM_KEYS = ("n", "beta0", "delta", "k", "r")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    ns = vars(args)
-    params = {key: ns[key] for key in _PARAM_KEYS if key in ns and ns[key] is not None}
-    skip = set(_PARAM_KEYS) | {"command", "out", "fmt", "func"}
-    options = {key: val for key, val in ns.items() if key not in skip}
-    return RunConfig(
-        command=args.command,
-        params=params,
-        options=options,
-        out=ns.get("out"),
-        fmt=ns.get("fmt", "csv"),
-    )
+def _model_params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(**{key: getattr(args, key) for key in _PARAM_KEYS})
 
 
-def _model_params(cfg: RunConfig) -> ModelParams:
-    missing = [key for key in _PARAM_KEYS if key not in cfg.params]
-    if missing:
-        raise DomainError(f"missing required parameters: {', '.join('--' + m for m in missing)}")
-    return ModelParams(**cfg.params)
+def _inputs(args: argparse.Namespace) -> dict:
+    """The run's flags as recorded in the "inputs" block of the JSON outputs."""
+    options = dict(vars(args))
+    del options["func"]
+    params = {key: options.pop(key) for key in _PARAM_KEYS if key in options}
+    return {
+        "command": options.pop("command"),
+        "params": params,
+        "out": options.pop("out"),
+        "fmt": options.pop("fmt", "csv"),
+        "options": options,
+    }
 
 
 @contextlib.contextmanager
@@ -84,11 +66,6 @@ def _open_out(path: Optional[str]):
     else:
         with open(path, "w", newline="\n") as fh:
             yield fh
-
-
-def _out_target(cfg: RunConfig):
-    # a path for Trajectory.write_csv to open, or stdout
-    return sys.stdout if cfg.out is None else cfg.out
 
 
 def _emit_rows(fh, header: list[str], rows: list[list]):
@@ -113,12 +90,17 @@ def _emit_json(path: Optional[str], payload):
         fh.write("\n")
 
 
-def _emit(cfg: RunConfig, header, rows, payload):
-    if cfg.fmt == "json":
-        _emit_json(cfg.out, payload)
+def _emit(args: argparse.Namespace, header, rows, payload):
+    if args.fmt == "json":
+        _emit_json(args.out, payload)
     else:
-        with _open_out(cfg.out) as fh:
+        with _open_out(args.out) as fh:
             _emit_rows(fh, header, rows)
+
+
+def _emit_records(args: argparse.Namespace, header: list[str], records: list[dict]):
+    # each record is keyed by the CSV header; the JSON is the list of records
+    _emit(args, header, [[rec[h] for h in header] for rec in records], records)
 
 
 def _orbit_payload(orbit) -> dict:
@@ -132,32 +114,27 @@ def _orbit_payload(orbit) -> dict:
     return out
 
 
-def _history_from_options(cfg: RunConfig, params: ModelParams):
-    kind = cfg.options.get("history", "constant")
-    if kind == "constant":
-        level = cfg.options.get("level")
+def _history(args: argparse.Namespace, params: ModelParams):
+    if args.history == "constant":
+        level = args.level
         if level is None:
             level = 1.01 * positive_equilibrium(params).y_star if params.has_positive_equilibrium else 1.0
         return ConstantHistory(level)
-    if kind == "eigenmode":
-        c = cfg.options.get("c")
-        if c is None:
-            raise DomainError("--c is required with --history eigenmode")
-        return eigenmode_history(params, c)
-    raise DomainError(f"unknown history kind {kind!r}")
+    if args.c is None:
+        raise DomainError("--c is required with --history eigenmode")
+    return eigenmode_history(params, args.c)
 
 
-def cmd_equilibria(cfg: RunConfig) -> int:
-    params = _model_params(cfg)
-    rows, payload = [], []
+def cmd_equilibria(args: argparse.Namespace) -> int:
+    params = _model_params(args)
+    records = []
     for eq in equilibria(params):
         verdict = (
             classify_trivial(params)
             if eq.kind is EquilibriumKind.TRIVIAL
             else classify_positive(params)
         )
-        rows.append([eq.kind.value, eq.x_star, eq.y_star, verdict.state.value, verdict.source.value])
-        payload.append(
+        records.append(
             {
                 "kind": eq.kind.value,
                 "x": eq.x_star,
@@ -166,12 +143,12 @@ def cmd_equilibria(cfg: RunConfig) -> int:
                 "source": verdict.source.value,
             }
         )
-    _emit(cfg, ["kind", "x", "y", "stability", "source"], rows, payload)
+    _emit_records(args, ["kind", "x", "y", "stability", "source"], records)
     return 0
 
 
-def cmd_stability(cfg: RunConfig) -> int:
-    params = _model_params(cfg)
+def cmd_stability(args: argparse.Namespace) -> int:
+    params = _model_params(args)
     trivial = classify_trivial(params)
     rows = [["trivial", trivial.state.value, trivial.source.value, None, None]]
     payload = {
@@ -187,123 +164,91 @@ def cmd_stability(cfg: RunConfig) -> int:
             "source": pos.source.value,
             "detail": pos.detail,
         }
-        count = cfg.options.get("roots", 2)
-        if count:
-            for root in leading_roots(params, count):
+        if args.roots:
+            for root in leading_roots(params, args.roots):
                 rows.append(["root", None, None, root.re, root.im])
                 payload["leading_roots"].append({"re": root.re, "im": root.im})
-    _emit(cfg, ["item", "state", "source", "re", "im"], rows, payload)
+    _emit(args, ["item", "state", "source", "re", "im"], rows, payload)
     return 0
 
 
-def cmd_hopf_surface(cfg: RunConfig) -> int:
-    opt = cfg.options
-    for key in ("n", "beta0"):
-        if key not in cfg.params:
-            raise DomainError(f"--{key} is required")
+def cmd_hopf_surface(args: argparse.Namespace) -> int:
     surface = surface_grid(
-        cfg.params["n"],
-        cfg.params["beta0"],
-        (opt["k_min"], opt["k_max"]),
-        (opt["delta_min"], opt["delta_max"]),
-        opt["resolution"],
+        args.n,
+        args.beta0,
+        (args.k_min, args.k_max),
+        (args.delta_min, args.delta_max),
+        args.resolution,
     )
     rows = []
     for i, k in enumerate(surface.k):
         for j, d in enumerate(surface.delta):
             r_h = surface.r_hopf[i, j]
             rows.append([float(k), float(d), None if math.isnan(r_h) else float(r_h)])
-    with _open_out(cfg.out) as fh:
+    with _open_out(args.out) as fh:
         _emit_rows(fh, ["k", "delta", "r_hopf"], rows)
     return 0
 
 
-def _resolve_t_end(cfg: RunConfig, params: ModelParams) -> float:
-    t_end = cfg.options.get("t_end")
-    return 200.0 * params.r if t_end is None else t_end
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    params = _model_params(cfg)
-    history = _history_from_options(cfg, params)
-    traj = integrate_y(params, history, _resolve_t_end(cfg, params), cfg.options.get("dt"))
-    traj.write_csv(_out_target(cfg), ("t", "y", "ydot"), cfg.options.get("stride", 1))
+def cmd_simulate(args: argparse.Namespace) -> int:
+    """simulate writes the y trajectory; x-sim integrates x along it and writes that."""
+    params = _model_params(args)
+    t_end = 200.0 * params.r if args.t_end is None else args.t_end
+    traj = integrate_y(params, _history(args, params), t_end, args.dt)
+    labels = ("t", "y", "ydot")
+    if args.command == "x-sim":
+        x0 = args.x0
+        if x0 is None:
+            x0 = positive_equilibrium(params).x_star if params.has_positive_equilibrium else 0.0
+        traj, labels = integrate_x(params, traj, x0), ("t", "x", "xdot")
+    # write_csv opens a path itself and checks the stride before it does
+    traj.write_csv(sys.stdout if args.out is None else args.out, labels, args.stride)
     return 0
 
 
-def cmd_x_sim(cfg: RunConfig) -> int:
-    params = _model_params(cfg)
-    history = _history_from_options(cfg, params)
-    y_traj = integrate_y(params, history, _resolve_t_end(cfg, params), cfg.options.get("dt"))
-    x0 = cfg.options.get("x0")
-    if x0 is None:
-        x0 = positive_equilibrium(params).x_star if params.has_positive_equilibrium else 0.0
-    x_traj = integrate_x(params, y_traj, x0)
-    x_traj.write_csv(_out_target(cfg), ("t", "x", "xdot"), cfg.options.get("stride", 1))
-    return 0
-
-
-def cmd_verify_tables(cfg: RunConfig) -> int:
-    rows_data = load_bautin_table(cfg.options.get("tables"))
-    checks = verify_table(rows_data, cfg.options.get("rel_tol", 1e-4))
-    rows, payload = [], []
-    for c in checks:
-        rows.append(
-            [c.row.n, c.row.beta0, c.row.k, c.row.delta, c.row.r, c.r_computed, c.rel_err, c.passed]
-        )
-        payload.append(
-            {
-                "n": c.row.n,
-                "beta0": c.row.beta0,
-                "k": c.row.k,
-                "delta": c.row.delta,
-                "r_paper": c.row.r,
-                "r_computed": c.r_computed,
-                "rel_err": c.rel_err,
-                "pass": c.passed,
-            }
-        )
-    _emit(cfg, ["n", "beta0", "k", "delta", "r_paper", "r_computed", "rel_err", "pass"], rows, payload)
-    return 0
-
-
-def cmd_bistability(cfg: RunConfig) -> int:
-    params = _model_params(cfg)
-    opt = cfg.options
-    result = bistability_scan(
-        params, opt["c_lo"], opt["c_hi"], opt["tol"], opt["horizon"], opt.get("dt")
+def cmd_verify_tables(args: argparse.Namespace) -> int:
+    records = [
+        {
+            "n": c.row.n,
+            "beta0": c.row.beta0,
+            "k": c.row.k,
+            "delta": c.row.delta,
+            "r_paper": c.row.r,
+            "r_computed": c.r_computed,
+            "rel_err": c.rel_err,
+            "pass": c.passed,
+        }
+        for c in verify_table(load_bautin_table(args.tables), args.rel_tol)
+    ]
+    _emit_records(
+        args, ["n", "beta0", "k", "delta", "r_paper", "r_computed", "rel_err", "pass"], records
     )
+    return 0
+
+
+def cmd_bistability(args: argparse.Namespace) -> int:
+    params = _model_params(args)
+    result = bistability_scan(params, args.c_lo, args.c_hi, args.tol, args.horizon, args.dt)
     payload = {
-        "inputs": cfg.to_dict(),
+        "inputs": _inputs(args),
         "bracket": {"c_converge": result.c_converge, "c_escape": result.c_escape},
         "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in result.probes],
         "elapsed_seconds": result.elapsed,
     }
-    _emit_json(cfg.out, payload)
-    amp_csv = opt.get("amplitudes_csv")
-    if amp_csv:
-        with open(amp_csv, "w", newline="\n") as fh:
+    _emit_json(args.out, payload)
+    if args.amplitudes_csv:
+        with open(args.amplitudes_csv, "w", newline="\n") as fh:
             rows = [[p.c, p.orbit.tail_amplitude] for p in sorted(result.probes, key=lambda p: p.c)]
             _emit_rows(fh, ["c", "amplitude_tail"], rows)
     return 0
 
 
-def cmd_criticality(cfg: RunConfig) -> int:
-    for key in ("n", "beta0", "delta", "k"):
-        if key not in cfg.params:
-            raise DomainError(f"--{key} is required")
-    opt = cfg.options
+def cmd_criticality(args: argparse.Namespace) -> int:
     report = criticality_probe(
-        cfg.params["n"],
-        cfg.params["beta0"],
-        cfg.params["k"],
-        cfg.params["delta"],
-        opt["offsets"],
-        opt["horizon"],
-        opt.get("dt"),
+        args.n, args.beta0, args.k, args.delta, args.offsets, args.horizon, args.dt
     )
     payload = {
-        "inputs": cfg.to_dict(),
+        "inputs": _inputs(args),
         "verdict": report.verdict.value,
         "r_hopf": report.r_hopf,
         "points": [
@@ -312,21 +257,20 @@ def cmd_criticality(cfg: RunConfig) -> int:
         ],
         "fit": {"slope": report.slope, "intercept": report.intercept, "r_squared": report.r_squared},
     }
-    _emit_json(cfg.out, payload)
+    _emit_json(args.out, payload)
     return 0
 
 
-def cmd_zone(cfg: RunConfig) -> int:
-    params = _model_params(cfg)
-    opt = cfg.options
-    report = zone_classify(params, opt["c_values"], opt["horizon"], opt.get("dt"))
+def cmd_zone(args: argparse.Namespace) -> int:
+    params = _model_params(args)
+    report = zone_classify(params, args.c_values, args.horizon, args.dt)
     payload = {
-        "inputs": cfg.to_dict(),
+        "inputs": _inputs(args),
         "zone": report.zone.value,
         "equilibrium_state": report.equilibrium_state.value,
         "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in report.probes],
     }
-    _emit_json(cfg.out, payload)
+    _emit_json(args.out, payload)
     return 0
 
 
@@ -339,7 +283,7 @@ def _float_list(text: str) -> list[float]:
 
 def _add_param_flags(parser, keys=_PARAM_KEYS):
     for key in keys:
-        parser.add_argument(f"--{key}", type=float)
+        parser.add_argument(f"--{key}", type=float, required=True)
 
 
 def _add_out_flags(parser, formats=("csv", "json")):
@@ -378,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(p, formats=())
     p.set_defaults(func=cmd_hopf_surface)
 
-    for name, func, labels in (("simulate", cmd_simulate, "y"), ("x-sim", cmd_x_sim, "x")):
-        p = sub.add_parser(name, help=f"integrate and dump the {labels} trajectory as CSV")
+    for name, var in (("simulate", "y"), ("x-sim", "x")):
+        p = sub.add_parser(name, help=f"integrate and dump the {var} trajectory as CSV")
         _add_param_flags(p)
         p.add_argument("--history", choices=("constant", "eigenmode"), default="constant")
         p.add_argument("--level", type=float, help="constant history level")
@@ -390,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "x-sim":
             p.add_argument("--x0", type=float)
         _add_out_flags(p, formats=())
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify-tables", help="recompute the shipped codimension-two table")
     p.add_argument("--tables", help="override the packaged table CSV")
@@ -437,9 +381,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    cfg = _config_from_args(args)
     try:
-        return args.func(cfg)
+        return args.func(args)
     except (DomainError, PreconditionError, NoHopfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

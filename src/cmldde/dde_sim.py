@@ -67,8 +67,8 @@ class ConstantHistory(History):
     level: float
 
     def __post_init__(self):
-        if self.level < 0.0:
-            raise DomainError(f"constant history must be >= 0, got {self.level}")
+        if not 0.0 <= self.level < math.inf:
+            raise DomainError(f"constant history must be finite and >= 0, got {self.level}")
 
     def value(self, s):
         return np.full_like(np.asarray(s, dtype=float), self.level) if np.ndim(s) else self.level
@@ -85,6 +85,10 @@ class EigenmodeHistory(History):
     c: float
     mu: float
     omega: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.y_base, self.c, self.mu, self.omega))):
+            raise DomainError(f"eigenmode history needs finite fields, got {self}")
 
     def value(self, s):
         s = np.asarray(s, dtype=float) if np.ndim(s) else s
@@ -113,6 +117,8 @@ class SampledHistory(History):
             self.derivatives = np.asarray(derivatives, dtype=float)
         else:
             self.derivatives = np.gradient(self.values, self.times)
+        if not (np.isfinite(self.values).all() and np.isfinite(self.derivatives).all()):
+            raise DomainError("sampled history values and derivatives must be finite")
 
     def _eval(self, s, order):
         x = np.clip(np.asarray(s, dtype=float), self.times[0], self.times[-1])

@@ -10,6 +10,7 @@ genuine convergence within a feasible horizon.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -254,8 +255,8 @@ def bistability_scan(
     """
     if not (c_lo < c_hi):
         raise PreconditionError(f"need c_lo < c_hi, got {c_lo} >= {c_hi}")
-    if bisection_tol <= 0.0:
-        raise PreconditionError("bisection_tol must be positive")
+    if not 0.0 < bisection_tol < math.inf:
+        raise PreconditionError(f"bisection_tol must be positive and finite, got {bisection_tol}")
     started = time.perf_counter()
     y_star = positive_equilibrium(params).y_star
 

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import ConditioningError, NoHopfError, PreconditionError
 from .model import ModelParams, b1_value
 
+# surface_grid rejects larger grids before allocating; matches dde_sim.MAX_NODES
+MAX_SURFACE_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class HopfPoint:
@@ -129,6 +132,8 @@ def surface_grid(
     nk, nd = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nk < 2 or nd < 2:
         raise PreconditionError("grid resolution must be >= 2 per axis")
+    if nk * nd > MAX_SURFACE_CELLS:
+        raise PreconditionError(f"a {nk} x {nd} grid exceeds {MAX_SURFACE_CELLS} cells")
     if not (k_range[0] < k_range[1]) or not (delta_range[0] < delta_range[1]):
         raise PreconditionError("empty parameter range")
     ks = np.linspace(k_range[0], k_range[1], nk)
@@ -168,6 +173,8 @@ def load_bautin_table(path=None) -> list[BautinRow]:
 
 def verify_table(rows: list[BautinRow], rel_tol: float = 1e-4) -> list[TableCheck]:
     """Recompute the critical delay for every row and compare to the tabulated r."""
+    if not 0.0 <= rel_tol < math.inf:
+        raise PreconditionError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     out = []
     for row in rows:
         r_c = hopf_delay(row.n, row.beta0, row.k, row.delta)

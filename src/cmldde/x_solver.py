@@ -96,6 +96,8 @@ def integrate_x(
         t_end = y_traj.t_end
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     if y_traj.t_end < t_end - 1e-9 or y_traj.t0 > -params.r + 1e-9:
         raise PreconditionError("y trajectory does not cover [-r, t_end]")
     dt = y_traj.dt

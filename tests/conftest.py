@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from cmldde import ModelParams, _kernels
+from cmldde import ModelParams, _kernels, dde_sim
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -33,3 +34,18 @@ def sample_params(rng, n_range=(1.0, 12.0), r_range=(0.1, 20.0), delta_range=(0.
         )
         if p.renewal_ratio > 1.0:
             return p
+
+
+class HoledHistory(dde_sim.History):
+    """1 on [-r, 0] except NaN on (-0.87 r, -0.73 r), the stretch a NaN sample at
+    s = -0.8 r spoils; the packaged histories reject non-finite data, so tests of
+    the integrators' non-finite detection build it on the bare History."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def value(self, s):
+        return np.where((s > -0.87 * self.r) & (s < -0.73 * self.r), np.nan, 1.0)
+
+    def derivative(self, s):
+        return np.zeros_like(s)

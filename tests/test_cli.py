@@ -3,16 +3,23 @@ import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmldde.cli import _PARAM_KEYS, RunConfig, main
+from cmldde.cli import _PARAM_KEYS, build_parser, main
 
 P3 = ["--n", "2", "--beta0", "2.5", "--delta", "0.0015", "--k", "1.01", "--r", "7.55"]
 SEC3 = ["--n", "12", "--beta0", "1.77", "--delta", "0.05", "--k", "1.18074"]
+
+
+SURFACE = ["--k-min", "1.1", "--k-max", "1.9", "--delta-min", "0.01", "--delta-max", "0.02",
+           "--resolution", "3"]
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -105,6 +112,17 @@ class TestHopfSurface:
                 "--k-min", "1.1", "--k-max", "1.9",
                 "--delta-min", "0.01", "--delta-max", "0.02", "--resolution", "1"]
         assert main(args) == 2
+
+    def test_cell_cap_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "surf.csv"
+        args = ["hopf-surface", "--n", "2", "--beta0", "0.5", *SURFACE[:-1], "4097",
+                "--out", str(out)]
+        started = time.perf_counter()
+        code = main(args)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "cells" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -212,6 +230,12 @@ class TestVerifyTables:
         missing = tmp_path / "nope.csv"
         assert main(["verify-tables", "--tables", str(missing)]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_tolerance_usage_error(self, value, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["verify-tables", "--rel-tol", value, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestBistability:
     def test_coarse_bracket(self, tmp_path):
@@ -231,6 +255,11 @@ class TestBistability:
                 "--tol", "0.1", "--horizon", "1000"]
         assert main(args) == 2
 
+    def test_nan_tolerance_usage_error(self):
+        args = ["bistability", *P3, "--c-lo", "0.2", "--c-hi", "0.55",
+                "--tol", "nan", "--horizon", "1000"]
+        assert main(args) == 2
+
 
 class TestCriticality:
     def test_supercritical_verdict(self, tmp_path):
@@ -240,6 +269,14 @@ class TestCriticality:
         data = json.loads(out.read_text())
         assert data["verdict"] == "supercritical"
         assert data["fit"]["r_squared"] >= 0.9
+        assert data["inputs"] == {
+            "command": "criticality",
+            "params": {"n": 12.0, "beta0": 1.77, "delta": 0.05, "k": 1.18074},
+            "options": {"offsets": [-0.0001, 0.0004, 0.0008, 0.0012], "horizon": 5000.0,
+                        "dt": None},
+            "out": str(out),
+            "fmt": "csv",
+        }
 
     def test_no_threshold_usage_error(self):
         args = ["criticality", "--n", "1", "--beta0", "2", "--delta", "0.1",
@@ -255,20 +292,66 @@ class TestZone:
         assert main(args) == 0
         data = json.loads(out.read_text())
         assert data["zone"] == "zone1"
+        assert data["inputs"] == {
+            "command": "zone",
+            "params": {"n": 2.0, "beta0": 2.5, "delta": 0.0015, "k": 1.01, "r": 7.0},
+            "options": {"c_values": [0.2, 0.55], "horizon": 60000.0, "dt": None},
+            "out": str(out),
+            "fmt": "csv",
+        }
 
 
-class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig(
-            command="simulate",
-            params={"n": 2.0, "beta0": 2.5, "delta": 0.0015, "k": 1.01, "r": 7.55},
-            options={"history": "eigenmode", "c": 0.41, "t_end": 500.0,
-                     "dt": None, "stride": 8, "level": None},
-            out="y.csv",
-            fmt="csv",
-        )
-        wire = json.dumps(cfg.to_dict(), sort_keys=True)
-        assert RunConfig.from_dict(json.loads(wire)) == cfg
+_MODEL_COMMANDS = {
+    "equilibria": ([*P3], []),
+    "stability": ([*P3], []),
+    "hopf-surface": (["--n", "2", "--beta0", "0.5"], SURFACE),
+    "simulate": ([*P3], ["--t-end", "10"]),
+    "x-sim": ([*P3], ["--t-end", "10"]),
+    "bistability": ([*P3], ["--c-lo", "0.2", "--c-hi", "0.55", "--horizon", "1000"]),
+    "criticality": ([*SEC3], ["--horizon", "100"]),
+    "zone": ([*P3], ["--horizon", "100"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, argv[i][2:]) for command, (argv, _) in _MODEL_COMMANDS.items()
+     for i in range(0, len(argv), 2)],
+)
+def test_missing_parameter_usage_error(command, key, tmp_path, capsys):
+    params, rest = _MODEL_COMMANDS[command]
+    i = params.index("--" + key)
+    out = tmp_path / "out"
+    assert main([command, *params[:i], *params[i + 2:], *rest, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "required" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *P3, "--level", "nan", "--t-end", "10"],
+    ["simulate", *P3, "--level", "inf", "--t-end", "10"],
+    ["simulate", *P3, "--history", "eigenmode", "--c", "nan", "--t-end", "10"],
+    ["zone", *P3, "--c-values", "nan", "--horizon", "100"],
+    ["x-sim", *P3, "--x0", "nan", "--t-end", "10"],
+])
+def test_non_finite_initial_data_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("cmldde ")]
+    assert {argv[0] for argv in commands} == set(_MODEL_COMMANDS) | {"verify-tables"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 _EXTREME = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0]

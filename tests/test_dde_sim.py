@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cmldde import (
     positive_equilibrium,
 )
 from cmldde import dde_sim
-from conftest import sample_params
+from conftest import HoledHistory, sample_params
 from _oracles import dde_reference
 
 
@@ -26,6 +27,18 @@ class TestHistories:
     def test_constant_rejects_negative(self):
         with pytest.raises(DomainError):
             ConstantHistory(-0.1)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_constant_rejects_non_finite(self, level):
+        with pytest.raises(DomainError):
+            ConstantHistory(level)
+
+    @pytest.mark.parametrize("field", ["y_base", "c", "mu", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_eigenmode_rejects_non_finite(self, field, value):
+        fields = {"y_base": 2.0, "c": 0.3, "mu": -0.05, "omega": 0.8, field: value}
+        with pytest.raises(DomainError):
+            EigenmodeHistory(**fields)
 
     def test_eigenmode_values(self):
         h = EigenmodeHistory(y_base=2.0, c=0.3, mu=-0.05, omega=0.8)
@@ -50,6 +63,15 @@ class TestHistories:
             SampledHistory([0.0], [1.0])
         with pytest.raises(DomainError):
             SampledHistory([0.0, 0.0], [1.0, 1.0])
+
+    def test_sampled_rejects_non_finite(self):
+        ts = [-1.0, -0.5, 0.0]
+        with pytest.raises(DomainError):
+            SampledHistory(ts, [1.0, math.nan, 1.0])
+        with pytest.raises(DomainError):
+            SampledHistory(ts, [1.0, math.inf, 1.0])
+        with pytest.raises(DomainError):
+            SampledHistory(ts, [1.0, 1.0, 1.0], [0.0, math.inf, 0.0])
 
 
 class TestIntegrateY:
@@ -105,11 +127,8 @@ class TestIntegrateY:
                 integrate_y(p3, ConstantHistory(1.0), t_end, step)
 
     def test_non_finite_detected(self, p3):
-        ts = np.linspace(-p3.r, 0.0, 16)
-        vals = np.full(16, 1.0)
-        vals[3] = np.nan
         with pytest.raises(IntegrationError) as exc:
-            integrate_y(p3, SampledHistory(ts, vals), 30.0)
+            integrate_y(p3, HoledHistory(p3.r), 30.0)
         assert np.isfinite(exc.value.last_valid_time)
 
     def test_matches_adaptive_reference(self, p3, hopf_example):

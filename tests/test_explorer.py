@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ class TestBistabilityScan:
         assert res.c_converge == 0.2
         assert res.c_escape == 0.55
         assert len(res.probes) == 2
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_tolerance_rejected(self, p3, tol):
+        # a NaN tolerance used to end the bisection at once with the input bracket
+        with pytest.raises(PreconditionError, match="bisection_tol"):
+            bistability_scan(p3, 0.2, 0.55, tol, 150000.0)
 
     def test_monostable_rejected_with_endpoint_named(self, p3):
         mono = ModelParams(n=p3.n, beta0=p3.beta0, delta=p3.delta, k=p3.k, r=7.0)

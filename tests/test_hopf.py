@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestSurfaceGrid:
         with pytest.raises(PreconditionError):
             surface_grid(2, 0.5, (1.9, 1.1), (0.01, 0.02), 4)
 
+    def test_cell_cap(self):
+        # 4097 x 4096 is one row past 2**24 cells: rejected before allocating
+        started = time.perf_counter()
+        with pytest.raises(PreconditionError, match="cells"):
+            surface_grid(2, 0.5, (1.1, 1.9), (0.01, 0.02), (4097, 4096))
+        assert time.perf_counter() - started < 1.0
+
 
 class TestTables:
     def test_table_loads_complete(self):
@@ -117,6 +125,11 @@ class TestTables:
         # ~8 digit entries cannot all survive a 1e-9 gate
         checks = verify_table(load_bautin_table(), rel_tol=1e-9)
         assert any(not c.passed for c in checks)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_rejected(self, rel_tol):
+        with pytest.raises(PreconditionError):
+            verify_table(load_bautin_table(), rel_tol=rel_tol)
 
     def test_scaling_homogeneity(self):
         for row in load_bautin_table()[::5]:

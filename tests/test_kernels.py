@@ -12,7 +12,6 @@ from cmldde import (
     ConstantHistory,
     IntegrationError,
     ModelParams,
-    SampledHistory,
     _kernels,
     eigenmode_history,
     integrate_x,
@@ -20,6 +19,7 @@ from cmldde import (
     positive_equilibrium,
 )
 from _oracles import exp_scan_reference, rk4_delay_reference
+from conftest import HoledHistory
 
 
 @pytest.fixture
@@ -47,10 +47,7 @@ def test_y_and_x_match_reference_loops(cases, monkeypatch):
 
 
 def test_first_non_finite_step_matches_reference(p3, monkeypatch):
-    ts = np.linspace(-p3.r, 0.0, 16)
-    vals = np.full(16, 1.0)
-    vals[3] = np.nan
-    hist = SampledHistory(ts, vals)
+    hist = HoledHistory(p3.r)
     with pytest.raises(IntegrationError) as new:
         integrate_y(p3, hist, 30.0)
     monkeypatch.setattr(_kernels, "rk4_delay", rk4_delay_reference)

@@ -91,6 +91,12 @@ class TestIntegrateX:
         with pytest.raises(DomainError):
             integrate_x(p3, y_traj, 0.0, t_end=t_end)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_x0_domain(self, p3, x0):
+        y_traj = integrate_y(p3, ConstantHistory(1.0), 50.0)
+        with pytest.raises(DomainError):
+            integrate_x(p3, y_traj, x0)
+
 
 class TestPeriodicResponse:
     def test_cosine_matches_linear_response(self, p3):
