@@ -3,7 +3,8 @@
 The RK4 kernel has one source. Without numba it runs as plain Python on
 float scalars, reading and writing the arrays through memoryviews; that
 path alone meets the acceptance time budgets. numba, when installed, is an
-optional accelerator that compiles the same source on the arrays. The x
+optional accelerator that compiles the same source on the arrays. The numba
+path has never been run, and neither has .github/workflows/tests.yml. The x
 recursion is a first-order linear filter and runs in scipy's compiled
 ``lfilter`` on either path.
 """

@@ -18,7 +18,7 @@ import contextlib
 import json
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .errors import (
@@ -68,7 +68,7 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
-def _emit_rows(fh, header: list[str], rows: list[list]):
+def _emit_rows(fh, header: list[str], rows: Iterable[list]):
     fh.write(",".join(header) + "\n")
     for row in rows:
         fh.write(",".join(_cell(v) for v in row) + "\n")
@@ -180,11 +180,11 @@ def cmd_hopf_surface(args: argparse.Namespace) -> int:
         (args.delta_min, args.delta_max),
         args.resolution,
     )
-    rows = []
-    for i, k in enumerate(surface.k):
-        for j, d in enumerate(surface.delta):
-            r_h = surface.r_hopf[i, j]
-            rows.append([float(k), float(d), None if math.isnan(r_h) else float(r_h)])
+    rows = (
+        [float(k), float(d), None if math.isnan(r_h) else float(r_h)]
+        for k, r_row in zip(surface.k, surface.r_hopf)
+        for d, r_h in zip(surface.delta, r_row)
+    )
     with _open_out(args.out) as fh:
         _emit_rows(fh, ["k", "delta", "r_hopf"], rows)
     return 0

@@ -191,21 +191,17 @@ def refine_period(traj: Trajectory, t_anchor: float, period_guess: float) -> flo
     return 0.5 * (lo + hi) - t_anchor
 
 
-def classify_orbit(
-    traj: Trajectory,
-    y_star: float,
-    horizon: float,
-    converge_tol: float | None = None,
-) -> OrbitClass:
+def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClass:
     """Decision tree over the thirds of [0, horizon].
 
-    Converging: trailing sup-distance to y_star below tolerance and not above
-    the middle third's. Cycle: trailing amplitude steady within AMP_DRIFT.
-    Growing: trailing amplitude still rising. Anything else: indeterminate.
+    Converging: trailing sup-distance to y_star below CONVERGE_SCALE (1 + |y_star|)
+    and not above the middle third's. Cycle: trailing amplitude steady within
+    AMP_DRIFT. Growing: trailing amplitude still rising. Anything else:
+    indeterminate.
     """
     if traj.t_end < horizon - 1e-9 * max(1.0, horizon):
         raise PreconditionError("trajectory does not cover the requested horizon")
-    tol = converge_tol if converge_tol is not None else CONVERGE_SCALE * (1.0 + abs(y_star))
+    tol = CONVERGE_SCALE * (1.0 + abs(y_star))
     t1, t2 = horizon / 3.0, 2.0 * horizon / 3.0
 
     _, v2 = traj.window(t1, t2)
@@ -305,14 +301,14 @@ def criticality_probe(
     offsets: Sequence[float],
     horizon: float,
     dt: float | None = None,
-    seed_c: float | None = None,
 ) -> CriticalityReport:
     """Probe how stability is lost as the delay crosses its critical value.
 
-    Integrates from a small eigenmode perturbation at r = r_H + offset for
-    each offset. Supercritical: sub-threshold offsets converge, super-threshold
-    offsets settle on small steady cycles whose squared amplitude grows
-    linearly in the offset (least-squares R^2 >= 0.9 over >= 3 points).
+    Integrates from the eigenmode perturbation of amplitude 0.01 y* at
+    r = r_H + offset for each offset. Supercritical: sub-threshold offsets
+    converge, super-threshold offsets settle on small steady cycles whose
+    squared amplitude grows linearly in the offset (least-squares R^2 >= 0.9
+    over >= 3 points).
     """
     offsets = sorted(float(o) for o in offsets)
     if not offsets or offsets[0] >= 0.0 or offsets[-1] <= 0.0:
@@ -323,8 +319,7 @@ def criticality_probe(
     for dr in offsets:
         params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=r_h + dr)
         eq = positive_equilibrium(params)
-        c = seed_c if seed_c is not None else 0.01 * eq.y_star
-        orbit = _probe(params, c, horizon, dt, eq.y_star).orbit
+        orbit = _probe(params, 0.01 * eq.y_star, horizon, dt, eq.y_star).orbit
         points.append(CriticalityPoint(offset=dr, amplitude=orbit.tail_amplitude, kind=orbit.kind))
 
     below = [p for p in points if p.offset < 0.0]

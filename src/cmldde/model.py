@@ -31,16 +31,14 @@ def gamma_of(k: float, r: float) -> float:
 
 
 def hill_pow(y, n: float):
-    """y**n for y >= 0 via exp(n ln y), with the y = 0 limit set to 0.
-
-    Accepts scalars or arrays; avoids complex promotion for fractional n and
-    is well defined at 0 for every n > 0.
-    """
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    out[pos] = np.exp(n * np.log(arr[pos]))
-    return out.reshape(np.shape(y)) if np.ndim(y) else float(out[0])
+    """y**n for y > 0 and 0 otherwise (NaN too), the RK4 kernel's clamped power;
+    a scalar gives a Python float, inf where the power overflows."""
+    if np.ndim(y):
+        return np.fmax(y, 0.0) ** n
+    try:
+        return float(y) ** n if y > 0.0 else 0.0
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, kw_only=True)

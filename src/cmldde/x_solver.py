@@ -8,8 +8,14 @@ variation-of-constants formula
 
 with the integral evaluated by Simpson's rule on the dense y output under the
 exact exponential weight. The homogeneous part is therefore exact, which makes
-the convergence-transfer and periodic-orbit statements about this formula
-directly testable, and removes any stability constraint from gamma.
+the convergence-transfer statement about this formula directly testable, and
+removes any stability constraint from gamma.
+
+Over a T-periodic y cycle the periodic x orbit is a closed form in Fourier
+space: with omega = 2 pi/T, the delay is the phase shift Y_j e^(-i j omega r)
+and the orbit's modes are X_j = H_j/(gamma + i j omega). Both periodic
+functions read one sampled period: >= 8 points on a uniform grid (to 1e-9 T)
+whose endpoint values agree to 1e-6; anything else is a PreconditionError.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
@@ -122,49 +126,49 @@ def integrate_x(
     return Trajectory(t0=0.0, dt=dt, values=x, derivs=xdot, params=params, history=None)
 
 
+def _one_period(times, values):
+    """Period T and the open samples values[:-1] under the one-period contract."""
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.size < 8 or values.shape != times.shape:
+        raise PreconditionError("need a dense one-period sample (>= 8 points, one value each)")
+    period = times[-1] - times[0]
+    if not (period > 0.0 and np.ptp(np.diff(times)) <= 1e-9 * period):
+        raise PreconditionError("one-period sample must lie on a uniform increasing grid")
+    mismatch = abs(values[0] - values[-1])
+    if not mismatch < 1e-6:
+        raise PreconditionError(f"trajectory is not periodic: endpoint mismatch {mismatch:.3g}")
+    return period, values[:-1]
+
+
 def periodic_response(gamma: float, times: np.ndarray, h_values: np.ndarray) -> PeriodicInit:
     """Fixed point of the period map of u' = -gamma u + H for a T-periodic H.
 
-    Returns u0 = (1 - e^(-gamma T))^(-1) * int_0^T e^(gamma (s-T)) H(s) ds
-    by Simpson quadrature on the provided grid, together with the
-    amplification factor of the prefactor.
+    u0 = sum_j H_j/(gamma + i j omega), omega = 2 pi/T, from the Fourier modes
+    H_j of one sampled period of H (the module's one-period contract), with
+    the amplification factor 1/(1 - e^(-gamma T)) of the period map.
     """
-    times = np.asarray(times, dtype=float)
-    period = times[-1] - times[0]
+    period, h = _one_period(times, h_values)
     denom = -math.expm1(-gamma * period)
     if denom < 1e-12:
         raise ConditioningError(
             f"1 - e^(-gamma T) = {denom:.3g} is too small for a reliable fixed point"
         )
-    weight = np.exp(gamma * (times - times[-1]))
-    integral = simpson(weight * np.asarray(h_values, dtype=float), x=times)
-    return PeriodicInit(x0=integral / denom, condition=1.0 / denom)
+    modes = np.fft.rfft(h) / (gamma + 2j * math.pi / period * np.arange(h.size // 2 + 1))
+    return PeriodicInit(x0=float(np.fft.irfft(modes, h.size)[0]), condition=1.0 / denom)
 
 
 def periodic_x0(params: ModelParams, times: np.ndarray, values: np.ndarray) -> PeriodicInit:
     """Initial value that makes the x orbit periodic over a periodic y cycle.
 
-    `times`/`values` sample one period of y on an increasing grid covering
-    [t0, t0 + T]; the endpoint values must agree to 1e-6. The delayed forcing
-    argument wraps around the period through a periodic cubic spline.
+    `times`/`values` sample one period [t0, t0 + T] of y (the module's
+    one-period contract); y(t - r) is the phase shift Y_j e^(-i j omega r).
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.size < 8:
-        raise PreconditionError("need a dense one-period sample (>= 8 points)")
-    if abs(values[0] - values[-1]) >= 1e-6:
-        raise PreconditionError(
-            f"trajectory is not periodic: endpoint mismatch {abs(values[0] - values[-1]):.3g}"
-        )
-    period = times[-1] - times[0]
-    closed = values.copy()
-    closed[-1] = closed[0]  # exact closure for the periodic spline
-    spline = CubicSpline(times, closed, bc_type="periodic")
+    period, y = _one_period(times, values)
+    shift = np.exp(-2j * math.pi * params.r / period * np.arange(y.size // 2 + 1))
+    y_delayed = np.fft.irfft(np.fft.rfft(y) * shift, y.size)
     eq = positive_equilibrium(params)
-
-    delayed = times[0] + np.mod(times - params.r - times[0], period)
-    h = _clamped_forcing(params, values, spline(delayed)) - params.gamma * eq.x_star
-    base = periodic_response(params.gamma, times, h)
+    h = _clamped_forcing(params, y, y_delayed) - params.gamma * eq.x_star
+    base = periodic_response(params.gamma, times, np.append(h, h[0]))
     return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
 
 

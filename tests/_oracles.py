@@ -3,18 +3,30 @@
 Everything here deliberately avoids the package's own integration and
 root-finding paths: the DDE oracle runs scipy's DOP853 interval by interval,
 the frequency oracle uses brentq on the bracketing form, the root oracle is a
-Newton sweep over a grid of seeds, and the kernel references are plain
-numpy-scalar loops with the compiled kernels' contracts.
+Newton sweep over a grid of seeds, the kernel references are plain
+numpy-scalar loops with the compiled kernels' contracts, and the periodic x
+orbit reference wraps the delay through a periodic cubic spline and weights
+Simpson's rule by the exact exponential.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import simpson, solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from cmldde import CharacteristicRoot, PreconditionError, b1_coefficient, rhs_y
+from cmldde import (
+    CharacteristicRoot,
+    ConditioningError,
+    PeriodicInit,
+    PreconditionError,
+    b1_coefficient,
+    positive_equilibrium,
+    rhs_y,
+)
+from cmldde.model import forcing
 
 #: Newton seed grid density for the root sweep (per axis)
 SEED_GRID = 40
@@ -166,3 +178,42 @@ def exp_scan_reference(x, incr, decay):
             return i
         x[i + 1] = xn
     return -1
+
+
+def periodic_response_reference(gamma, times, h_values):
+    """u0 = (1 - e^(-gamma T))^(-1) int_0^T e^(gamma (s-T)) H(s) ds by Simpson's
+    rule on the given grid, with the amplification factor of the prefactor."""
+    times = np.asarray(times, dtype=float)
+    period = times[-1] - times[0]
+    denom = -math.expm1(-gamma * period)
+    if denom < 1e-12:
+        raise ConditioningError(
+            f"1 - e^(-gamma T) = {denom:.3g} is too small for a reliable fixed point"
+        )
+    weight = np.exp(gamma * (times - times[-1]))
+    integral = simpson(weight * np.asarray(h_values, dtype=float), x=times)
+    return PeriodicInit(x0=integral / denom, condition=1.0 / denom)
+
+
+def periodic_x0_reference(params, times, values):
+    """Periodic x initial value over one sampled y period, the delayed forcing
+    argument read from a periodic cubic spline through the samples."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.size < 8:
+        raise PreconditionError("need a dense one-period sample (>= 8 points)")
+    if abs(values[0] - values[-1]) >= 1e-6:
+        raise PreconditionError(
+            f"trajectory is not periodic: endpoint mismatch {abs(values[0] - values[-1]):.3g}"
+        )
+    period = times[-1] - times[0]
+    closed = values.copy()
+    closed[-1] = closed[0]  # exact closure for the periodic spline
+    spline = CubicSpline(times, closed, bc_type="periodic")
+    eq = positive_equilibrium(params)
+
+    delayed = times[0] + np.mod(times - params.r - times[0], period)
+    clamp = lambda v: np.maximum(v, 0.0)
+    h = forcing(clamp(values), clamp(spline(delayed)), params) - params.gamma * eq.x_star
+    base = periodic_response_reference(params.gamma, times, h)
+    return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)

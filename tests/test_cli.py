@@ -6,6 +6,7 @@ import math
 import pathlib
 import shlex
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ class TestHopfSurface:
                 "--k-min", "1.1", "--k-max", "1.9",
                 "--delta-min", "0.01", "--delta-max", "0.02", "--resolution", "1"]
         assert main(args) == 2
+
+    def test_rows_streamed(self, tmp_path):
+        # 10,000 cells: a list of all rows holds about 1.7 MB before the first
+        # write; streamed rows keep the peak near the 80 kB r_hopf array
+        out = tmp_path / "surf.csv"
+        args = ["hopf-surface", "--n", "2", "--beta0", "2.5", "--k-min", "1.01",
+                "--k-max", "1.9", "--delta-min", "0.001", "--delta-max", "0.1",
+                "--resolution", "100", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(read_csv(out)) == 10000
+        assert peak < 1_000_000
 
     def test_cell_cap_usage_error(self, tmp_path, capsys):
         out = tmp_path / "surf.csv"
@@ -385,8 +403,8 @@ class TestArbitraryParameters:
     )
     def test_exit_code_documented(self, command, values, fmt):
         argv = [command, "--format", fmt]
-        for key, value in values.items():
-            argv += [f"--{key}", repr(value)]
+        # one --flag=value token: argparse reads a separate "-1e-3" as a flag
+        argv += [f"--{key}={value!r}" for key, value in values.items()]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

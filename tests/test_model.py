@@ -18,6 +18,7 @@ from cmldde import (
     rhs_x,
     rhs_y,
 )
+from cmldde.model import hill_pow
 from conftest import sample_params
 
 
@@ -43,6 +44,29 @@ class TestGammaOf:
             k = rng.uniform(0.05, 2.0)
             r = rng.uniform(0.01, 50.0)
             assert 2.0 * math.exp(-gamma_of(k, r) * r) == pytest.approx(k, rel=1e-14)
+
+
+class TestHillPow:
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 7.3, 12.0])
+    def test_matches_power_on_positive_values(self, n):
+        rng = np.random.default_rng(3)
+        v = np.concatenate([rng.uniform(1e-6, 10.0, 50), [1e-300, 1.0, 3.95811]])
+        for s in v:
+            got = hill_pow(float(s), n)
+            assert type(got) is float
+            assert got == float(s) ** n
+        assert np.array_equal(hill_pow(v, n), v ** n)
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, -1e-300, -0.5, -7.0, math.nan])
+    def test_zero_at_non_positive_and_nan(self, v):
+        assert hill_pow(v, 2.5) == 0.0
+        assert type(hill_pow(v, 2.5)) is float
+        assert type(hill_pow(np.float64(v), 2.5)) is float
+        arr = hill_pow(np.array([v, 2.0]), 2.5)
+        assert arr[0] == 0.0 and arr[1] == (np.array([2.0]) ** 2.5)[0]
+
+    def test_scalar_overflow_is_inf(self):
+        assert hill_pow(1e200, 2.0) == math.inf
 
 
 class TestFeedback:

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+import cmldde
 from cmldde import (
     ConditioningError,
     ConstantHistory,
     DomainError,
+    ModelParams,
     PreconditionError,
     Trajectory,
     convergence_check,
@@ -22,6 +28,7 @@ from cmldde import (
 )
 from cmldde.explorer import cycle_estimate, refine_period
 from conftest import sample_params
+from _oracles import periodic_x0_reference
 
 
 def synthetic_trajectory(params, fn, dfn, t0, t_end, dt):
@@ -177,6 +184,61 @@ class TestPeriodicX0:
         init = periodic_x0(p3, ts, ys)
         x_traj = integrate_x(p3, y_traj, eq.x_star)
         assert abs(x_traj.value_at(anchor) - init.x0) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def worked_cycle(hopf_example):
+    """The r = 0.36 worked example settled on its cycle: params, y and x
+    trajectories, and one period of y from a steep anchor in 256 samples."""
+    n, beta0, k, delta = hopf_example
+    p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+    eq = positive_equilibrium(p)
+    y_traj = integrate_y(p, ConstantHistory(1.01 * eq.y_star), 1000.0)
+    est = cycle_estimate(y_traj, 500.0)
+    assert est.steady
+    tw, _ = y_traj.window(1000.0 - 3.0 * est.period, 1000.0 - 2.0 * est.period)
+    anchor = tw[np.argmax(np.abs(y_traj.derivative_at(tw)))]
+    ts, ys = resample_period(y_traj, anchor, refine_period(y_traj, anchor, est.period), 256)
+    return p, integrate_x(p, y_traj, eq.x_star), anchor, ts, ys
+
+
+class TestPeriodicX0Fourier:
+    def test_worked_example_cycle(self, worked_cycle):
+        # the x orbit started at x2 has converged by the anchor (gamma = 1.46);
+        # the spline-and-Simpson reference is off by 4.9e-10 at 256 samples
+        p, x_traj, anchor, ts, ys = worked_cycle
+        assert abs(periodic_x0(p, ts, ys).x0 - x_traj.value_at(anchor)) < 1e-12
+
+    def test_matches_spline_reference(self, worked_cycle):
+        p, _, _, ts, ys = worked_cycle
+        got, ref = periodic_x0(p, ts, ys), periodic_x0_reference(p, ts, ys)
+        assert abs(got.x0 - ref.x0) < 1e-9
+        assert got.condition == ref.condition
+
+    def test_non_uniform_grid_rejected(self, p3):
+        eq = positive_equilibrium(p3)
+        t = 30.0 * np.linspace(0.0, 1.0, 512) ** 1.01
+        y = eq.y_star + 0.1 * np.sin(2.0 * math.pi * t / 30.0)
+        with pytest.raises(PreconditionError, match="uniform"):
+            periodic_x0(p3, t, y)
+        with pytest.raises(PreconditionError, match="uniform"):
+            periodic_response(p3.gamma, t, y)
+
+    def test_endpoint_mismatch_rejected(self, p3):
+        t = np.linspace(0.0, 30.0, 512)
+        with pytest.raises(PreconditionError, match="endpoint"):
+            periodic_response(p3.gamma, t, np.cos(t))
+
+    def test_import_loads_no_spline_or_quadrature(self):
+        # a fresh interpreter: the test session has loaded scipy.signal, which
+        # imports both modules
+        code = ("import sys, cmldde; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
+                "if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cmldde.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
 
 class TestForcingTrace:
