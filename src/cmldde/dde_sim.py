@@ -58,9 +58,6 @@ class History:
     def derivative(self, s):
         raise NotImplementedError
 
-    def __call__(self, s):
-        return self.value(s)
-
 
 @dataclass(frozen=True)
 class ConstantHistory(History):

@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConditioningError, NoHopfError, PreconditionError
+from .errors import ConditioningError, DomainError, NoHopfError, PreconditionError
 from .model import ModelParams, b1_value
 
 # surface_grid rejects larger grids before allocating; matches dde_sim.MAX_NODES
@@ -149,25 +150,31 @@ def surface_grid(
 
 
 def load_bautin_table(path=None) -> list[BautinRow]:
-    """Tabulated codimension-two points (packaged data unless a path is given)."""
-    if path is None:
-        text = resources.files("cmldde").joinpath("data/bautin_points_n2.csv").read_text()
-        lines = text.splitlines()
-    else:
-        with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
+    """Tabulated codimension-two points (packaged data unless a path is given).
+
+    A missing column, a non-numeric or non-finite value, or r <= 0 raises
+    DomainError naming the line.
+    """
+    packaged = resources.files("cmldde") / "data" / "bautin_points_n2.csv"
+    source = packaged if path is None else Path(path)
+    reader = csv.DictReader(source.read_text().splitlines())
+    columns = [f.name for f in fields(BautinRow)]
     rows = []
-    for rec in csv.DictReader(lines):
-        rows.append(
-            BautinRow(
-                n=float(rec["n"]),
-                beta0=float(rec["beta0"]),
-                k=float(rec["k"]),
-                delta=float(rec["delta"]),
-                r=float(rec["r"]),
-                l2=float(rec["l2"]),
-            )
-        )
+    for rec in reader:
+        where = f"{source.name} line {reader.line_num}"
+        missing = [c for c in columns if rec.get(c) is None]
+        if missing:
+            raise DomainError(f"{where}: missing column {', '.join(missing)}")
+        try:
+            values = [float(rec[c]) for c in columns]
+        except ValueError as exc:
+            raise DomainError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"{where}: non-finite value")
+        row = BautinRow(*values)
+        if row.r <= 0.0:
+            raise DomainError(f"{where}: r must be > 0, got {row.r:g}")
+        rows.append(row)
     return rows
 
 

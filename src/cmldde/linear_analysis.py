@@ -203,11 +203,12 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
     im[im <= 1e-14 * w_abs] = 0.0
     w = w.real + 1j * im
     # Re lambda = Re w / r - (delta + b1) = (log|k b1 r| - log|w|) / r; the
-    # first form cancels when |w| is large, the second when it is small
-    with np.errstate(divide="ignore"):
+    # first form cancels when |w| is large, the second when it is small; a
+    # root past the double range (tiny r) is rejected below, not warned about
+    with np.errstate(divide="ignore", over="ignore"):
         re = np.where(w_abs > 1.0, (log_kr - np.log(w_abs)) / r, w.real / r - s_sum)
-    order = np.lexsort((im, -re))
-    w, re, im = w[order], re[order], im[order] / r
+        order = np.lexsort((im, -re))
+        w, re, im = w[order], re[order], im[order] / r
     # a folded duplicate sorts next to its twin
     fresh = np.ones(w.size, dtype=bool)
     fresh[1:] = np.abs(np.diff(w)) > 1e-9 * np.abs(w[1:])

@@ -6,10 +6,12 @@ variation-of-constants formula
 
     x(t+dt) = e^(-gamma dt) x(t) + int_t^{t+dt} e^(gamma (s-t-dt)) F(s) ds,
 
-with the integral evaluated by Simpson's rule on the dense y output under the
-exact exponential weight. The homogeneous part is therefore exact, which makes
-the convergence-transfer statement about this formula directly testable, and
-removes any stability constraint from gamma.
+with the integral evaluated by Simpson's rule under the exact exponential
+weight. x is solved on y's own grid: integrate_y makes r a whole number m of
+steps, so y(t_i) and y(t_i - r) are stored nodes, and only the Simpson
+midpoints come from y's dense output, in one read. The homogeneous part is
+exact, which makes the convergence-transfer statement about this formula
+directly testable, and removes any stability constraint from gamma.
 
 Over a T-periodic y cycle the periodic x orbit is a closed form in Fourier
 space: with omega = 2 pi/T, the delay is the phase shift Y_j e^(-i j omega r)
@@ -22,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
 from .model import Equilibrium, EquilibriumKind, ModelParams, forcing, positive_equilibrium
-from .dde_sim import Trajectory, _count_steps
+from .dde_sim import Trajectory
 
 
 @dataclass(frozen=True)
@@ -58,58 +59,51 @@ class ConvergenceReport:
 
 
 def _clamped_forcing(params: ModelParams, y_now, y_delayed):
-    # interpolated y may dip just below 0, where the Hill flux is undefined
+    # stored or interpolated y may dip just below 0, where the Hill flux is undefined
     clamp = lambda v: np.maximum(v, 0.0)
     return forcing(clamp(y_now), clamp(y_delayed), params)
 
 
-def _forcing_arrays(params: ModelParams, y_traj: Trajectory, t_nodes: np.ndarray):
-    y_now, y_delayed = y_traj.value_at(t_nodes), y_traj.value_at(t_nodes - params.r)
-    return _clamped_forcing(params, y_now, y_delayed)
+def _delay_steps(params: ModelParams, y_traj: Trajectory) -> int:
+    """Steps per delay m = r/dt of a y trajectory laid out as integrate_y's."""
+    r, m = params.r, round(params.r / y_traj.dt)
+    if not (0 < m < y_traj.values.size - 1 and abs(m * y_traj.dt - r) <= 1e-9 * r
+            and abs(y_traj.t0 + r) <= 1e-9 * r):
+        raise PreconditionError("y trajectory must start at -r on a grid whose step "
+                                "divides r, with at least one step after 0")
+    return m
 
 
-def forcing_trace(params: ModelParams, y_traj: Trajectory, reference: Equilibrium | None = None) -> ForcingTrace:
-    """H(y)(t) on the stored grid of y_traj (t >= 0).
+def forcing_trace(params: ModelParams, y_traj: Trajectory) -> ForcingTrace:
+    """H(y)(t) on the stored grid of y_traj (t >= 0), read from the stored nodes.
 
-    H is the x forcing minus its value at the reference equilibrium; the
-    reference defaults to the positive equilibrium when it exists, else the
-    trivial one (where the offset vanishes).
+    H is the x forcing minus its value at the reference equilibrium: the
+    positive equilibrium when it exists, else the trivial one (where the
+    offset vanishes). y_traj must satisfy integrate_x's grid precondition.
     """
-    if reference is None:
-        if params.has_positive_equilibrium:
-            reference = positive_equilibrium(params)
-        else:
-            reference = Equilibrium(0.0, 0.0, EquilibriumKind.TRIVIAL)
-    t = y_traj.times[y_traj.delay_steps:]  # nodes from t = 0 onward
-    h = _forcing_arrays(params, y_traj, t) - params.gamma * reference.x_star
-    return ForcingTrace(times=t, values=h, reference=reference)
+    if params.has_positive_equilibrium:
+        reference = positive_equilibrium(params)
+    else:
+        reference = Equilibrium(0.0, 0.0, EquilibriumKind.TRIVIAL)
+    m, y = _delay_steps(params, y_traj), y_traj.values
+    h = _clamped_forcing(params, y[m:], y[:-m]) - params.gamma * reference.x_star
+    return ForcingTrace(times=y_traj.times[m:], values=h, reference=reference)
 
 
-def integrate_x(
-    params: ModelParams,
-    y_traj: Trajectory,
-    x0: float,
-    t_end: float | None = None,
-) -> Trajectory:
+def integrate_x(params: ModelParams, y_traj: Trajectory, x0: float) -> Trajectory:
     """Propagate x from x(0) = x0 along the given y trajectory.
 
-    The returned trajectory shares the y grid spacing and covers [0, t_end]
-    (default: the full span of y_traj).
+    x covers y's span from t = 0 on y's own grid. y_traj must start at -r on
+    a grid whose step divides r, with at least one step after 0, as
+    integrate_y returns it; anything else is a PreconditionError.
     """
-    if t_end is None:
-        t_end = y_traj.t_end
-    if not 0.0 < t_end < math.inf:
-        raise DomainError(f"t_end must be positive and finite, got {t_end}")
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
-    if y_traj.t_end < t_end - 1e-9 or y_traj.t0 > -params.r + 1e-9:
-        raise PreconditionError("y trajectory does not cover [-r, t_end]")
-    dt = y_traj.dt
-    nsteps = _count_steps(t_end, dt)
-    t_nodes = dt * np.arange(nsteps + 1)
-
-    f_nodes = _forcing_arrays(params, y_traj, t_nodes)
-    f_half = _forcing_arrays(params, y_traj, t_nodes[:-1] + 0.5 * dt)
+    m, y, dt = _delay_steps(params, y_traj), y_traj.values, y_traj.dt
+    nsteps = y.size - 1 - m
+    f_nodes = _clamped_forcing(params, y[m:], y[:-m])
+    y_half = y_traj.value_at(y_traj.t0 + dt * (np.arange(m + nsteps) + 0.5))
+    f_half = _clamped_forcing(params, y_half[m:], y_half[:-m])
 
     decay = math.exp(-params.gamma * dt)
     decay_half = math.exp(-0.5 * params.gamma * dt)
@@ -184,22 +178,18 @@ def resample_period(traj: Trajectory, t_start: float, period: float, samples: in
 
 def convergence_check(
     x_traj: Trajectory,
-    target: Union[float, Callable[[np.ndarray], np.ndarray]],
+    target: float,
     window: tuple[float, float],
 ) -> ConvergenceReport:
-    """Sup-distance from the target over a trailing window, with a decay flag.
-
-    `target` is either an equilibrium level or a callable evaluated on the
-    stored times. The decay flag compares the sups of the two half-windows.
-    """
+    """Sup-distance from the target level over a trailing window, with a decay
+    flag that compares the sups of the two half-windows."""
     t_lo, t_hi = window
     if t_hi <= t_lo:
         raise DomainError("empty window")
     t, v = x_traj.window(t_lo, t_hi)
     if t.size < 4:
         raise PreconditionError("trajectory shorter than the requested window")
-    ref = target(t) if callable(target) else target
-    dist = np.abs(v - ref)
+    dist = np.abs(v - target)
     mid = t_lo + 0.5 * (t_hi - t_lo)
     first = dist[t < mid]
     second = dist[t >= mid]

@@ -6,7 +6,9 @@ the frequency oracle uses brentq on the bracketing form, the root oracle is a
 Newton sweep over a grid of seeds, the kernel references are plain
 numpy-scalar loops with the compiled kernels' contracts, and the periodic x
 orbit reference wraps the delay through a periodic cubic spline and weights
-Simpson's rule by the exact exponential.
+Simpson's rule by the exact exponential, and the x reference re-interpolates y
+through the dense output at every node and midpoint instead of reading the
+stored nodes.
 """
 
 import math
@@ -217,3 +219,27 @@ def periodic_x0_reference(params, times, values):
     h = forcing(clamp(values), clamp(spline(delayed)), params) - params.gamma * eq.x_star
     base = periodic_response_reference(params.gamma, times, h)
     return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
+
+
+def _forcing_arrays_reference(params, y_traj, t_nodes):
+    y_now, y_delayed = y_traj.value_at(t_nodes), y_traj.value_at(t_nodes - params.r)
+    clamp = lambda v: np.maximum(v, 0.0)
+    return forcing(clamp(y_now), clamp(y_delayed), params)
+
+
+def integrate_x_reference(params, y_traj, x0):
+    """x values on [0, t_end of y_traj] by the exponentially weighted Simpson
+    step, with y re-interpolated through the dense output at every node, every
+    midpoint and their delayed times (four reads per run)."""
+    dt = y_traj.dt
+    nsteps = int(round(y_traj.t_end / dt))
+    t_nodes = dt * np.arange(nsteps + 1)
+    f_nodes = _forcing_arrays_reference(params, y_traj, t_nodes)
+    f_half = _forcing_arrays_reference(params, y_traj, t_nodes[:-1] + 0.5 * dt)
+    decay = math.exp(-params.gamma * dt)
+    decay_half = math.exp(-0.5 * params.gamma * dt)
+    incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
+    x = np.empty(nsteps + 1)
+    x[0] = x0
+    assert exp_scan_reference(x, incr, decay) < 0
+    return x

@@ -248,6 +248,23 @@ class TestVerifyTables:
         missing = tmp_path / "nope.csv"
         assert main(["verify-tables", "--tables", str(missing)]) == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n", "line 2: missing column n, beta0, k, delta, r, l2"),
+        ("n,beta0,k,delta,r\n2,0.5,1.1,0.0045705962,26.125314\n", "line 2: missing column l2"),
+        ("n,beta0,k,delta,r,l2\n2,0.5,1.1,0.0045705962,26.125314,-0.021\n"
+         "2,0.5,1.2,abc,25.751524,-0.0151\n", "line 3: could not convert"),
+        ("n,beta0,k,delta,r,l2\n2,0.5,1.1,inf,26.125314,-0.021\n", "line 2: non-finite"),
+        ("n,beta0,k,delta,r,l2\n2,0.5,1.1,0.0045705962,0,-0.021\n", "line 2: r must be > 0"),
+    ], ids=["no-columns", "no-l2", "non-numeric", "non-finite", "zero-delay"])
+    def test_malformed_table_usage_error(self, text, message, tmp_path, capsys):
+        table, out = tmp_path / "table.csv", tmp_path / "report.csv"
+        table.write_text(text)
+        assert main(["verify-tables", "--tables", str(table), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_bad_tolerance_usage_error(self, value, tmp_path):
         out = tmp_path / "report.csv"
@@ -361,15 +378,51 @@ def test_non_finite_initial_data_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_readme_commands_parse():
+def _readme_commands():
     text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line)[1:] for line in lines if line.startswith("cmldde ")]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cmldde ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
     assert {argv[0] for argv in commands} == set(_MODEL_COMMANDS) | {"verify-tables"}
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+# bistability, criticality and zone run to long horizons; their own tests
+# above cover them at shorter ones
+_FAST_README = ("equilibria", "stability", "hopf-surface", "simulate", "x-sim", "verify-tables")
+
+
+@pytest.mark.parametrize("command", _FAST_README)
+def test_readme_command_runs(command, tmp_path, capsys):
+    argv = next(argv for argv in _readme_commands() if argv[0] == command)
+    out = None
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        out = argv[i] = str(tmp_path / argv[i])
+    assert main(argv) == 0
+    text = capsys.readouterr().out if out is None else pathlib.Path(out).read_text()
+    if "json" in argv:
+        assert all(math.isfinite(x) for x in _json_numbers(json.loads(text)))
+        return
+    rows = list(csv.DictReader(io.StringIO(text)))
+    for row in rows:
+        for column, cell in row.items():
+            assert cell != "" or column == "r_hopf", (column, row)
+            assert not _is_number(cell) or math.isfinite(float(cell)), (column, row)
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if command == "hopf-surface":
+        assert len(rows) == 3600
+    elif command in ("simulate", "x-sim"):
+        # 64 steps per delay; y also stores the 64 history steps on [-r, 0]
+        steps = math.ceil(float(opts["--t-end"]) / (float(opts["--r"]) / 64))
+        nodes = steps + 1 + (64 if command == "simulate" else 0)
+        assert len(rows) == math.ceil(nodes / int(opts["--stride"]))
 
 
 _EXTREME = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0]
@@ -396,6 +449,7 @@ class TestArbitraryParameters:
     @example("stability", _values(1e300, 1e300, 1e-300, 2.0, 5e-324), "csv")  # cos(inf)
     @example("stability", _values(1e300, 1e300, 1e8, 2.0, 1e300), "csv")  # b1 is NaN
     @example("stability", _values(1.5, 2.0, 0.3, 1.9, 5000.0), "json")  # z overflows
+    @example("stability", _values(1e-300, 16.374190495784227, 2.0, 2.0, 5e-324), "csv")  # lambda/r
     @given(
         command=st.sampled_from(["stability", "equilibria"]),
         values=st.fixed_dictionaries({key: _param_value() for key in _PARAM_KEYS}),

@@ -27,8 +27,9 @@ from cmldde import (
     resample_period,
 )
 from cmldde.explorer import cycle_estimate, refine_period
+from cmldde.model import forcing
 from conftest import sample_params
-from _oracles import periodic_x0_reference
+from _oracles import integrate_x_reference, periodic_x0_reference
 
 
 def synthetic_trajectory(params, fn, dfn, t0, t_end, dt):
@@ -87,16 +88,48 @@ class TestIntegrateX:
         err = max(abs(x_traj.value_at(t) - ref.sol(t)[0]) for t in probes)
         assert err < 1e-8
 
-    def test_span_precondition(self, p3):
-        y_traj = integrate_y(p3, ConstantHistory(1.0), 50.0)
-        with pytest.raises(PreconditionError):
-            integrate_x(p3, y_traj, 0.0, t_end=80.0)
+    def test_matches_reinterpolating_reference_p3(self, p3):
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.55), 20000.0)
+        x = integrate_x(p3, y_traj, 2.0).values
+        ref = integrate_x_reference(p3, y_traj, 2.0)
+        assert x.shape == ref.shape
+        assert np.all(np.abs(x - ref) <= 1e-11 * np.abs(ref))
 
-    @pytest.mark.parametrize("t_end", [0.0, math.nan, math.inf])
-    def test_t_end_domain(self, p3, t_end):
-        y_traj = integrate_y(p3, ConstantHistory(1.0), 50.0)
-        with pytest.raises(DomainError):
-            integrate_x(p3, y_traj, 0.0, t_end=t_end)
+    def test_matches_reinterpolating_reference_worked_example(self, hopf_example):
+        n, beta0, k, delta = hopf_example
+        p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        eq = positive_equilibrium(p)
+        y_traj = integrate_y(p, ConstantHistory(1.01 * eq.y_star), 2000.0)
+        x = integrate_x(p, y_traj, eq.x_star).values
+        ref = integrate_x_reference(p, y_traj, eq.x_star)
+        assert x.shape == ref.shape
+        assert np.all(np.abs(x - ref) <= 1e-11 * np.abs(ref))
+
+    def test_one_dense_output_read(self, p3, monkeypatch):
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.4), 100.0)
+        points = []
+        original = Trajectory.value_at
+        monkeypatch.setattr(Trajectory, "value_at",
+                            lambda self, t: points.append(np.size(t)) or original(self, t))
+        integrate_x(p3, y_traj, 1.0)
+        forcing_trace(p3, y_traj)
+        assert points == [y_traj.values.size - 1]  # the m + n step midpoints, once
+
+    def test_step_not_dividing_delay_rejected(self, p3):
+        eq = positive_equilibrium(p3)
+        flat = lambda t: np.full_like(t, eq.y_star)
+        y_traj = synthetic_trajectory(p3, flat, np.zeros_like, -p3.r, 50.0, p3.r / 64.5)
+        with pytest.raises(PreconditionError, match="divides r"):
+            integrate_x(p3, y_traj, 0.0)
+        with pytest.raises(PreconditionError, match="divides r"):
+            forcing_trace(p3, y_traj)
+
+    def test_shorter_delay_than_trajectory_rejected(self, p3):
+        # r/2 is a whole number of steps too, but y starts at -r, not at -r/2
+        half = ModelParams(n=p3.n, beta0=p3.beta0, delta=p3.delta, k=p3.k, r=p3.r / 2.0)
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.55), 100.0)
+        with pytest.raises(PreconditionError, match="start at -r"):
+            integrate_x(half, y_traj, 0.0)
 
     @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
     def test_x0_domain(self, p3, x0):
@@ -247,6 +280,15 @@ class TestForcingTrace:
         trace = forcing_trace(p3, y_traj)
         tail = trace.values[trace.times > 100000.0]
         assert np.abs(tail).max() < 1e-4
+
+    def test_reads_stored_nodes(self, p3):
+        # dense output at the node times is off by up to 1.5e-12 relative here
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.55), 20000.0)
+        trace = forcing_trace(p3, y_traj)
+        m, y = y_traj.delay_steps, y_traj.values
+        expected = forcing(y[m:], y[:-m], p3) - p3.gamma * positive_equilibrium(p3).x_star
+        assert np.array_equal(trace.values, expected)
+        assert np.array_equal(trace.times, y_traj.times[m:])
 
     def test_equilibrium_reference_value(self, p3):
         eq = positive_equilibrium(p3)
