@@ -59,7 +59,6 @@ from .dde_sim import (
     ConstantHistory,
     EigenmodeHistory,
     History,
-    SampledHistory,
     Trajectory,
     derivative_series,
     eigenmode_history,

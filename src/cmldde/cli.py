@@ -7,8 +7,8 @@ zone opens with an "inputs" block: the command, the model parameters, every
 other flag under "options", the --out path, and "fmt" (always "csv" for these
 JSON-only commands). Exit codes: 0 on success, 2 for usage or
 parameter-domain errors (a missing or malformed flag gets argparse's usage
-message; non-finite initial data, an oversized hopf-surface grid and a bad
-tolerance are domain errors), 3 for I/O errors, 4 for numerical failures.
+message; non-finite or negative initial data, an oversized hopf-surface grid
+and a bad tolerance are domain errors), 3 for I/O, 4 for numerical failures.
 """
 
 from __future__ import annotations

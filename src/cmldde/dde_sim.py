@@ -7,7 +7,9 @@ preserves the classical 4th-order accuracy of RK4 without event detection.
 Delayed values needed at half steps come from cubic Hermite interpolation of
 the stored (value, derivative) pairs; history times (t <= 0) are evaluated
 directly from the initial function, which keeps the derivative jump at t = 0
-out of the interpolation.
+out of the interpolation. Trajectory is the one sampled-curve type; one that
+covers [-r, 0] is itself an initial function, so a run restarts from its last
+delay window.
 """
 
 from __future__ import annotations
@@ -98,56 +100,34 @@ class EigenmodeHistory(History):
         )
 
 
-class SampledHistory(History):
-    """History given by samples; evaluated by cubic Hermite interpolation.
-
-    Derivatives may be supplied; otherwise they are estimated by centered
-    differences (one-sided at the ends).
-    """
-
-    def __init__(self, times, values, derivatives=None):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 2 or np.any(np.diff(self.times) <= 0):
-            raise DomainError("sampled history needs >= 2 strictly increasing times")
-        if derivatives is not None:
-            self.derivatives = np.asarray(derivatives, dtype=float)
-        else:
-            self.derivatives = np.gradient(self.values, self.times)
-        if not (np.isfinite(self.values).all() and np.isfinite(self.derivatives).all()):
-            raise DomainError("sampled history values and derivatives must be finite")
-
-    def _eval(self, s, order):
-        x = np.clip(np.asarray(s, dtype=float), self.times[0], self.times[-1])
-        idx = np.clip(np.searchsorted(self.times, x, side="right") - 1, 0, self.times.size - 2)
-        h = self.times[idx + 1] - self.times[idx]
-        out = _hermite(self.values[idx], self.values[idx + 1], self.derivatives[idx],
-                       self.derivatives[idx + 1], (x - self.times[idx]) / h, h, order)
-        return out if np.ndim(s) else float(out)
-
-    def value(self, s):
-        return self._eval(s, 0)
-
-    def derivative(self, s):
-        return self._eval(s, 1)
-
-
 @dataclass(frozen=True)
-class Trajectory:
-    """Dense output on a uniform grid: node values plus node derivatives.
+class Trajectory(History):
+    """Node values and derivatives on the uniform grid t0 + dt*i (>= 2 nodes,
+    all finite, else DomainError); a History wherever it covers [-r, 0].
 
-    Evaluation anywhere in [t0, t_end] uses cubic Hermite interpolation of the
-    stored pairs; times at or before 0 defer to the exact history function
-    when one is attached. Immutable after construction and safe to share.
+    Evaluation in [t0, t_end] uses cubic Hermite interpolation of the stored
+    pairs, and DomainError outside; times at or before 0 defer to the exact
+    history function when one is attached. Immutable and safe to share.
     """
 
     t0: float
     dt: float
     values: np.ndarray
     derivs: np.ndarray
-    params: ModelParams
     history: Optional[History] = None
     delay_steps: int = 0
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        derivs = np.asarray(self.derivs, dtype=float)
+        if values.ndim != 1 or values.size < 2 or derivs.shape != values.shape:
+            raise DomainError("a trajectory needs >= 2 nodes and one derivative per value")
+        if not (math.isfinite(self.t0) and 0.0 < self.dt < math.inf):
+            raise DomainError(f"a trajectory needs finite t0 and dt > 0, got {self.t0}, {self.dt}")
+        if not (np.isfinite(values).all() and np.isfinite(derivs).all()):
+            raise DomainError("trajectory values and derivatives must be finite")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "derivs", derivs)
 
     @property
     def times(self) -> np.ndarray:
@@ -186,6 +166,8 @@ class Trajectory:
     def derivative_at(self, t):
         """Derivative at arbitrary times inside the covered span (vectorized)."""
         return self._dense(t, 1)
+
+    value, derivative = value_at, derivative_at  # the History interface
 
     def window(self, t_lo: float, t_hi: float):
         """(times, values) of stored nodes with t_lo <= t <= t_hi."""
@@ -231,8 +213,9 @@ def integrate_y(
 
     Returns a trajectory covering [-r, t_end] (history prepended). Raises
     DomainError, before allocating, when the grid would exceed MAX_NODES
-    nodes, and IntegrationError with the last valid time if the run goes
-    non-finite.
+    nodes, and before integrating when the initial function is negative at a
+    history node or half-node; IntegrationError with the last valid time if
+    the run goes non-finite.
     """
     if not 0.0 < t_end < math.inf:
         raise DomainError(f"t_end must be positive and finite, got {t_end}")
@@ -256,6 +239,8 @@ def integrate_y(
     y[: m + 1] = history.value(s_nodes)
     f[: m + 1] = history.derivative(s_nodes)
     hist_half = np.asarray(history.value(s_nodes[:-1] + 0.5 * dt), dtype=float)
+    if (y[: m + 1] < 0.0).any() or (hist_half < 0.0).any():
+        raise DomainError("the initial function must be >= 0 on [-r, 0]")
     # node at t = 0 carries the right-hand derivative of the solution
     f[m] = rhs_y(y[m], y[0], params)
 
@@ -270,7 +255,7 @@ def integrate_y(
         )
     return Trajectory(
         t0=-params.r, dt=dt, values=y, derivs=f,
-        params=params, history=history, delay_steps=m,
+        history=history, delay_steps=m,
     )
 
 

@@ -324,7 +324,6 @@ def criticality_probe(
 
     below = [p for p in points if p.offset < 0.0]
     above = [p for p in points if p.offset > 0.0]
-    below_converge = all(p.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM for p in below)
     below_escapes = any(
         p.kind in (OrbitKind.APPROACHES_CYCLE, OrbitKind.GROWING_OSCILLATION) for p in below
     )
@@ -345,7 +344,7 @@ def criticality_probe(
     elif below_escapes:
         # attractor coexists below the threshold: no soft onset
         verdict = Criticality.SUBCRITICAL
-    elif below_converge and len(above) >= 3 and slope is not None:
+    elif len(above) >= 3:  # every sub-threshold point converged
         sqrt_law = (
             slope > 0.0
             and r_squared >= 0.9

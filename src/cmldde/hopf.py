@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoHopfError, PreconditionError
-from .model import ModelParams, b1_value
+from .model import ModelParams, b1_value, check_rates
 
 # surface_grid rejects larger grids before allocating; matches dde_sim.MAX_NODES
 MAX_SURFACE_CELLS = 2**24
@@ -84,8 +84,10 @@ def _crossing_frequency(s_sum: float, k_b1: float) -> float:
 
 
 def _threshold_pieces(n: float, beta0: float, k: float, delta: float) -> tuple[float, float]:
-    """(arccos term, radical omega_H); raises NoHopfError when undefined and
-    ConditioningError when omega_H is out of range."""
+    """(arccos term, radical omega_H); raises DomainError outside the model's
+    parameter domain, NoHopfError when undefined and ConditioningError when
+    omega_H is out of range."""
+    check_rates(n, beta0, delta, k)
     b1 = b1_value(n, beta0, k, delta)
     if b1 >= 0.0:
         raise NoHopfError(f"b1 = {b1:.6g} >= 0: no delay-induced instability")
@@ -129,12 +131,15 @@ def surface_grid(
     Cells where no threshold exists (no positive equilibrium, b1 >= 0, or no
     crossing frequency) are NaN; they trace the domain boundary of the surface.
     Cells whose threshold lies outside the double range are NaN as well.
+    Range endpoints outside the model's parameter domain raise DomainError.
     """
     nk, nd = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nk < 2 or nd < 2:
         raise PreconditionError("grid resolution must be >= 2 per axis")
     if nk * nd > MAX_SURFACE_CELLS:
         raise PreconditionError(f"a {nk} x {nd} grid exceeds {MAX_SURFACE_CELLS} cells")
+    for k, delta in zip(k_range, delta_range):
+        check_rates(n, beta0, delta, k)
     if not (k_range[0] < k_range[1]) or not (delta_range[0] < delta_range[1]):
         raise PreconditionError("empty parameter range")
     ks = np.linspace(k_range[0], k_range[1], nk)
@@ -152,8 +157,8 @@ def surface_grid(
 def load_bautin_table(path=None) -> list[BautinRow]:
     """Tabulated codimension-two points (packaged data unless a path is given).
 
-    A missing column, a non-numeric or non-finite value, or r <= 0 raises
-    DomainError naming the line.
+    A missing column, a non-numeric or non-finite value, parameters outside
+    the model's domain, or r <= 0 raises DomainError naming the line.
     """
     packaged = resources.files("cmldde") / "data" / "bautin_points_n2.csv"
     source = packaged if path is None else Path(path)
@@ -167,13 +172,14 @@ def load_bautin_table(path=None) -> list[BautinRow]:
             raise DomainError(f"{where}: missing column {', '.join(missing)}")
         try:
             values = [float(rec[c]) for c in columns]
-        except ValueError as exc:
+            if not all(map(math.isfinite, values)):
+                raise DomainError("non-finite value")
+            row = BautinRow(*values)
+            check_rates(row.n, row.beta0, row.delta, row.k)
+            if row.r <= 0.0:
+                raise DomainError(f"r must be > 0, got {row.r:g}")
+        except ValueError as exc:  # DomainError included
             raise DomainError(f"{where}: {exc}") from None
-        if not all(map(math.isfinite, values)):
-            raise DomainError(f"{where}: non-finite value")
-        row = BautinRow(*values)
-        if row.r <= 0.0:
-            raise DomainError(f"{where}: r must be > 0, got {row.r:g}")
         rows.append(row)
     return rows
 

@@ -17,14 +17,27 @@ import numpy as np
 from .errors import ConditioningError, DomainError, PreconditionError
 
 
+def _check_k(k: float) -> None:
+    if not (0.0 < k <= 2.0):
+        raise DomainError(f"amplification k must be in (0, 2], got {k}")
+
+
+def check_rates(n: float, beta0: float, delta: float, k: float) -> None:
+    """The model's parameter domain apart from the delay: DomainError unless
+    n, beta0 and delta are positive and finite and 0 < k <= 2."""
+    for name, value in (("n", n), ("beta0", beta0), ("delta", delta)):
+        if not (0.0 < value < math.inf):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+    _check_k(k)
+
+
 def gamma_of(k: float, r: float) -> float:
     """Apoptosis rate implied by amplification k and delay r.
 
     The amplification of one division cycle is k = 2 e^(-gamma r), so
     gamma = ln(2/k)/r. Exactly zero when k = 2.
     """
-    if not (0.0 < k <= 2.0):
-        raise DomainError(f"amplification k must be in (0, 2], got {k}")
+    _check_k(k)
     if not (0.0 < r < math.inf):
         raise DomainError(f"delay r must be positive and finite, got {r}")
     return math.log(2.0 / k) / r
@@ -57,10 +70,7 @@ class ModelParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("n", "beta0", "delta"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+        check_rates(self.n, self.beta0, self.delta, self.k)
         object.__setattr__(self, "gamma", gamma_of(self.k, self.r))
 
     @property

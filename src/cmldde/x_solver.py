@@ -117,7 +117,7 @@ def integrate_x(params: ModelParams, y_traj: Trajectory, x0: float) -> Trajector
             "x integration produced a non-finite value", last_valid_time=dt * bad
         )
     xdot = -params.gamma * x + f_nodes
-    return Trajectory(t0=0.0, dt=dt, values=x, derivs=xdot, params=params, history=None)
+    return Trajectory(t0=0.0, dt=dt, values=x, derivs=xdot)
 
 
 def _one_period(times, values):

@@ -142,6 +142,20 @@ class TestHopfSurface:
         assert "cells" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k-min", "2.2", "amplification k must be in (0, 2]"),
+        ("--delta-min", "0", "delta must be positive and finite"),
+    ], ids=["k-above-2", "zero-delta-min"])
+    def test_range_outside_model_domain(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "surf.csv"
+        args = ["hopf-surface", "--n", "2", "--beta0", "0.5", *SURFACE, "--out", str(out)]
+        if flag == "--k-min":
+            args[args.index("--k-max") + 1] = "2.5"
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_decaying_series_before_threshold(self, tmp_path):
@@ -185,6 +199,13 @@ class TestSimulate:
         assert time.perf_counter() - started < 1.0
         assert code == 2
         assert "grid nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_initial_function_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "y.csv"
+        args = ["simulate", *P3, "--history", "eigenmode", "--c", "-5", "--out", str(out)]
+        assert main(args) == 2
+        assert "initial function must be >= 0 on [-r, 0]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_stride_usage_error(self, tmp_path):
@@ -255,7 +276,8 @@ class TestVerifyTables:
          "2,0.5,1.2,abc,25.751524,-0.0151\n", "line 3: could not convert"),
         ("n,beta0,k,delta,r,l2\n2,0.5,1.1,inf,26.125314,-0.021\n", "line 2: non-finite"),
         ("n,beta0,k,delta,r,l2\n2,0.5,1.1,0.0045705962,0,-0.021\n", "line 2: r must be > 0"),
-    ], ids=["no-columns", "no-l2", "non-numeric", "non-finite", "zero-delay"])
+        ("n,beta0,k,delta,r,l2\n2,0.5,2.5,0.01,1,0\n", "line 2: amplification k"),
+    ], ids=["no-columns", "no-l2", "non-numeric", "non-finite", "zero-delay", "k-above-2"])
     def test_malformed_table_usage_error(self, text, message, tmp_path, capsys):
         table, out = tmp_path / "table.csv", tmp_path / "report.csv"
         table.write_text(text)

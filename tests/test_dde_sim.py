@@ -11,7 +11,7 @@ from cmldde import (
     IntegrationError,
     ModelParams,
     PreconditionError,
-    SampledHistory,
+    Trajectory,
     derivative_series,
     eigenmode_history,
     integrate_y,
@@ -53,25 +53,31 @@ class TestHistories:
         # cubic Hermite interpolation is exact on cubics with exact derivatives
         poly = np.polynomial.Polynomial([0.4, -1.2, 0.7, 0.3])
         ts = np.linspace(-2.0, 0.0, 9)
-        h = SampledHistory(ts, poly(ts), poly.deriv()(ts))
+        h = Trajectory(t0=-2.0, dt=0.25, values=poly(ts), derivs=poly.deriv()(ts))
         probe = np.linspace(-2.0, 0.0, 57)
         assert h.value(probe) == pytest.approx(poly(probe), abs=1e-13)
         assert h.derivative(probe) == pytest.approx(poly.deriv()(probe), abs=1e-12)
 
     def test_sampled_validation(self):
         with pytest.raises(DomainError):
-            SampledHistory([0.0], [1.0])
+            Trajectory(t0=0.0, dt=1.0, values=[1.0], derivs=[0.0])
         with pytest.raises(DomainError):
-            SampledHistory([0.0, 0.0], [1.0, 1.0])
+            Trajectory(t0=0.0, dt=0.0, values=[1.0, 1.0], derivs=[0.0, 0.0])
+        good = {"t0": -1.0, "dt": 0.5, "values": [1.0, 1.0, 1.0], "derivs": [0.0, 0.0, 0.0]}
+        for bad in ({"derivs": [0.0, 0.0]}, {"values": [[1.0, 1.0, 1.0]], "derivs": [[0.0] * 3]},
+                    {"t0": math.nan}, {"t0": math.inf},
+                    {"dt": -0.5}, {"dt": math.nan}, {"dt": math.inf}):
+            with pytest.raises(DomainError):
+                Trajectory(**{**good, **bad})
 
     def test_sampled_rejects_non_finite(self):
-        ts = [-1.0, -0.5, 0.0]
+        ts = dict(t0=-1.0, dt=0.5)
         with pytest.raises(DomainError):
-            SampledHistory(ts, [1.0, math.nan, 1.0])
+            Trajectory(**ts, values=[1.0, math.nan, 1.0], derivs=[0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
-            SampledHistory(ts, [1.0, math.inf, 1.0])
+            Trajectory(**ts, values=[1.0, math.inf, 1.0], derivs=[0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
-            SampledHistory(ts, [1.0, 1.0, 1.0], [0.0, math.inf, 0.0])
+            Trajectory(**ts, values=[1.0, 1.0, 1.0], derivs=[0.0, math.inf, 0.0])
 
 
 class TestIntegrateY:
@@ -125,6 +131,13 @@ class TestIntegrateY:
         for t_end, step in ((steps * dt + dt, dt), (10.0, 1e-9), (10.0, 5e-324)):
             with pytest.raises(DomainError, match="grid nodes"):
                 integrate_y(p3, ConstantHistory(1.0), t_end, step)
+
+    def test_negative_initial_function_rejected(self, p3):
+        # 3 at s = -r, where the feedback reads it first, and -1 at s = 0
+        hist = EigenmodeHistory(1.0, -2.0, 0.0, math.pi / p3.r)
+        assert hist.value(-p3.r) == pytest.approx(3.0) and hist.value(0.0) == -1.0
+        with pytest.raises(DomainError, match="initial function must be >= 0"):
+            integrate_y(p3, hist, 10.0)
 
     def test_non_finite_detected(self, p3):
         with pytest.raises(IntegrationError) as exc:
@@ -204,8 +217,6 @@ class TestTrajectory:
         assert traj.value_at(s) == pytest.approx(hist.value(s), abs=1e-15)
 
     def test_dense_output_contract(self):
-        # r = 8 gives dt = 1/8, so node times and the off-node times below are
-        # exact and both index lookups see the same step fraction
         p = ModelParams(n=2, beta0=2.5, delta=0.0015, k=1.01, r=8.0)
         traj = integrate_y(p, eigenmode_history(p, 0.3), 40.0)
         m = traj.delay_steps
@@ -215,19 +226,40 @@ class TestTrajectory:
         assert traj.derivative_at(0.0) != traj.history.derivative(0.0)
         assert traj.derivative_at(-1e-9) == traj.history.derivative(-1e-9)
 
-        sampled = SampledHistory(traj.times, traj.values, traj.derivs)
-        fractions = np.array([0.125, 0.25, 0.5, 0.75])
-        nodes = traj.times[m + 1:-1]
-        t = nodes + traj.dt * fractions[np.arange(nodes.size) % fractions.size]
-        assert np.array_equal(sampled.value(t), traj.value_at(t))
-        assert np.array_equal(sampled.derivative(t), traj.derivative_at(t))
-
     def test_out_of_span_rejected(self, p3):
         traj = integrate_y(p3, ConstantHistory(1.0), 10.0)
         with pytest.raises(DomainError):
             traj.value_at(traj.t_end + 1.0)
         with pytest.raises(DomainError):
             traj.value_at(-p3.r - 1.0)
+
+    def test_history_must_cover_delay(self, p3):
+        # a sample on [-1, 0] is no initial function for r = 7.55
+        ts = np.linspace(-1.0, 0.0, 5)
+        short = Trajectory(t0=-1.0, dt=0.25, values=1.0 + ts, derivs=np.ones(5))
+        with pytest.raises(DomainError, match="outside the covered span"):
+            integrate_y(p3, short, 10.0)
+
+    @pytest.mark.parametrize("case", ["p3", "worked_example"])
+    def test_restart_from_last_delay_window(self, p3, hopf_example, case):
+        # the last delay window of a run, as a history on [-r, 0], continues
+        # that run: the restart matches one long run node for node
+        if case == "p3":
+            params, hist, t_half = p3, eigenmode_history(p3, 0.55), 2000.0
+        else:
+            n, beta0, k, delta = hopf_example
+            params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+            hist, t_half = eigenmode_history(params, 0.05), 100.0
+        first = integrate_y(params, hist, t_half)
+        m = first.delay_steps
+        window = Trajectory(t0=-params.r, dt=first.dt, values=first.values[-m - 1:],
+                            derivs=first.derivs[-m - 1:])
+        second = integrate_y(params, window, t_half)
+        full = integrate_y(params, hist, 2.0 * t_half)
+        start = first.values.size - m - 1
+        assert second.dt == full.dt and start + second.values.size <= full.values.size
+        expected = full.values[start:start + second.values.size]
+        assert np.max(np.abs(second.values - expected) / np.abs(expected)) <= 1e-12
 
     def test_csv_round_trip(self, p3, tmp_path):
         traj = integrate_y(p3, ConstantHistory(1.0), 5.0)

@@ -25,7 +25,7 @@ from cmldde import (
 )
 
 
-def sine_trajectory(params, base, amp, omega, t_end, dt):
+def sine_trajectory(base, amp, omega, t_end, dt):
     n = int(round(t_end / dt))
     t = dt * np.arange(n + 1)
     return Trajectory(
@@ -33,20 +33,19 @@ def sine_trajectory(params, base, amp, omega, t_end, dt):
         dt=dt,
         values=base + amp * np.sin(omega * t),
         derivs=amp * omega * np.cos(omega * t),
-        params=params,
     )
 
 
 class TestCycleEstimate:
-    def test_synthetic_sine(self, p3):
-        traj = sine_trajectory(p3, 3.958, 0.3, 1.0, 200.0, 0.02)
+    def test_synthetic_sine(self):
+        traj = sine_trajectory(3.958, 0.3, 1.0, 200.0, 0.02)
         est = cycle_estimate(traj, 50.0)
         assert est.amplitude == pytest.approx(0.3, abs=1e-3)
         assert est.period == pytest.approx(2.0 * np.pi, abs=1e-2)
         assert est.steady
 
-    def test_constant_signal(self, p3):
-        traj = sine_trajectory(p3, 2.0, 0.0, 1.0, 100.0, 0.05)
+    def test_constant_signal(self):
+        traj = sine_trajectory(2.0, 0.0, 1.0, 100.0, 0.05)
         est = cycle_estimate(traj, 10.0)
         assert est.amplitude == 0.0
         assert est.period is None
@@ -54,15 +53,15 @@ class TestCycleEstimate:
 
     @pytest.mark.parametrize("amp", [0.01, 0.1, 2.0])
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0])
-    def test_recovery_accuracy(self, p3, amp, omega):
+    def test_recovery_accuracy(self, amp, omega):
         period = 2.0 * np.pi / omega
-        traj = sine_trajectory(p3, 4.0, amp, omega, 30.0 * period, period / 256.0)
+        traj = sine_trajectory(4.0, amp, omega, 30.0 * period, period / 256.0)
         est = cycle_estimate(traj, 5.0 * period)
         assert abs(est.amplitude - amp) <= 0.005 * amp
         assert abs(est.period - period) <= 0.01 * period
 
-    def test_short_window_not_steady(self, p3):
-        traj = sine_trajectory(p3, 4.0, 0.5, 1.0, 30.0, 0.01)
+    def test_short_window_not_steady(self):
+        traj = sine_trajectory(4.0, 0.5, 1.0, 30.0, 0.01)
         est = cycle_estimate(traj, 0.0)  # < 10 periods available
         assert not est.steady
 

@@ -8,6 +8,7 @@ import pytest
 from cmldde import (
     BautinRow,
     ConditioningError,
+    DomainError,
     NoHopfError,
     PreconditionError,
     b1_value,
@@ -49,6 +50,18 @@ class TestHopfDelay:
     def test_no_positive_equilibrium(self):
         with pytest.raises(PreconditionError):
             hopf_delay(2, 1.0, 1.1, 0.5)
+
+    @pytest.mark.parametrize("func", [hopf_delay, hopf_omega, hopf_point])
+    @pytest.mark.parametrize("args, message", [
+        ((2, 0.5, 2.2, 0.01), "amplification k"),
+        ((2, 2.5, 1.5, -0.01), "delta must be positive"),
+        ((0.0, 0.5, 1.1, 0.01), "n must be positive"),
+        ((2, math.inf, 1.1, 0.01), "beta0 must be positive"),
+    ], ids=["k-above-2", "negative-delta", "zero-n", "infinite-beta0"])
+    def test_outside_model_domain(self, func, args, message):
+        # the domain ModelParams enforces, not the positive equilibrium, is blamed
+        with pytest.raises(DomainError, match=message):
+            func(*args)
 
 
 class TestHopfOmega:
@@ -96,6 +109,16 @@ class TestSurfaceGrid:
         with pytest.raises(PreconditionError):
             surface_grid(2, 0.5, (1.9, 1.1), (0.01, 0.02), 4)
 
+    @pytest.mark.parametrize("k_range, delta_range, message", [
+        ((2.2, 2.5), (0.01, 0.02), "amplification k"),
+        ((1.1, 2.5), (0.01, 0.02), "amplification k"),
+        ((1.1, 1.9), (0.0, 0.02), "delta must be positive"),
+        ((1.1, 1.9), (0.01, math.inf), "delta must be positive"),
+    ], ids=["k-above-2", "k-max-above-2", "zero-delta-min", "infinite-delta-max"])
+    def test_range_outside_model_domain(self, k_range, delta_range, message):
+        with pytest.raises(DomainError, match=message):
+            surface_grid(2, 0.5, k_range, delta_range, 2)
+
     def test_cell_cap(self):
         # 4097 x 4096 is one row past 2**24 cells: rejected before allocating
         started = time.perf_counter()
@@ -114,6 +137,13 @@ class TestTables:
     def test_all_rows_verify_at_1e4(self):
         checks = verify_table(load_bautin_table(), rel_tol=1e-4)
         assert all(c.passed for c in checks)
+
+    def test_row_outside_model_domain(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("n,beta0,k,delta,r,l2\n2,0.5,1.1,0.0045705962,26.125314,-0.021\n"
+                         "2,0.5,2.5,0.01,1,0\n")
+        with pytest.raises(DomainError, match="table.csv line 3: amplification k"):
+            load_bautin_table(table)
 
     def test_corrupted_row_detected(self):
         row = load_bautin_table()[0]

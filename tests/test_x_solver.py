@@ -32,10 +32,10 @@ from conftest import sample_params
 from _oracles import integrate_x_reference, periodic_x0_reference
 
 
-def synthetic_trajectory(params, fn, dfn, t0, t_end, dt):
+def synthetic_trajectory(fn, dfn, t0, t_end, dt):
     n = int(round((t_end - t0) / dt))
     t = t0 + dt * np.arange(n + 1)
-    return Trajectory(t0=t0, dt=dt, values=fn(t), derivs=dfn(t), params=params)
+    return Trajectory(t0=t0, dt=dt, values=fn(t), derivs=dfn(t))
 
 
 class TestIntegrateX:
@@ -118,7 +118,7 @@ class TestIntegrateX:
     def test_step_not_dividing_delay_rejected(self, p3):
         eq = positive_equilibrium(p3)
         flat = lambda t: np.full_like(t, eq.y_star)
-        y_traj = synthetic_trajectory(p3, flat, np.zeros_like, -p3.r, 50.0, p3.r / 64.5)
+        y_traj = synthetic_trajectory(flat, np.zeros_like, -p3.r, 50.0, p3.r / 64.5)
         with pytest.raises(PreconditionError, match="divides r"):
             integrate_x(p3, y_traj, 0.0)
         with pytest.raises(PreconditionError, match="divides r"):
@@ -195,7 +195,7 @@ class TestPeriodicX0:
         W = 2.0 * math.pi / T
         fn = lambda t: eq.y_star + 0.3 * np.sin(W * t)
         dfn = lambda t: 0.3 * W * np.cos(W * t)
-        y_traj = synthetic_trajectory(p3, fn, dfn, -p3.r, 2.0 * T, dt)
+        y_traj = synthetic_trajectory(fn, dfn, -p3.r, 2.0 * T, dt)
         ts = np.linspace(0.0, T, 2049)
         init = periodic_x0(p3, ts, fn(ts))
         x_traj = integrate_x(p3, y_traj, init.x0)
@@ -303,7 +303,7 @@ class TestConvergenceCheck:
         g = p3.gamma
         fn = lambda t: eq.x_star + np.exp(-g * t)
         dfn = lambda t: -g * np.exp(-g * t)
-        traj = synthetic_trajectory(p3, fn, dfn, 0.0, 25.0 / g, 0.05 / g)
+        traj = synthetic_trajectory(fn, dfn, 0.0, 25.0 / g, 0.05 / g)
         rep = convergence_check(traj, eq.x_star, (10.0 / g, 20.0 / g))
         assert rep.sup_distance < math.exp(-10.0) * 1.0001
         assert rep.decaying
