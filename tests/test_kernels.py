@@ -46,6 +46,42 @@ def test_y_and_x_match_reference_loops(cases, monkeypatch):
         np.testing.assert_allclose(x_new.values, x_ref.values, rtol=1e-11, atol=0.0)
 
 
+def _y_with_reference(params, hist, t_end, dt, monkeypatch):
+    y_new = integrate_y(params, hist, t_end, dt)
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "rk4_delay", rk4_delay_reference)
+        y_ref = integrate_y(params, hist, t_end, dt)
+    return y_new, y_ref
+
+
+@pytest.mark.parametrize(
+    "steps_per_delay, delays, nsteps",
+    [(1, 60.0, 60), (64, 10.0 / 64, 10), (64, 7.0 + 13.0 / 64, 7 * 64 + 13)],
+    ids=["one_step_per_delay", "shorter_than_one_delay", "partial_last_delay"],
+)
+def test_delay_interval_edges_match_reference(steps_per_delay, delays, nsteps, hopf_example,
+                                              monkeypatch):
+    # the kernel steps one delay interval of m steps at a time: m = 1 (dt = r,
+    # rings of length 1), a run shorter than one interval, and whole intervals
+    # followed by a partial one
+    n, beta0, k, delta = hopf_example
+    params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+    y_new, y_ref = _y_with_reference(params, eigenmode_history(params, 0.05), delays * params.r,
+                                     params.r / steps_per_delay, monkeypatch)
+    assert y_new.delay_steps == steps_per_delay
+    assert y_new.values.size == steps_per_delay + nsteps + 1
+    np.testing.assert_allclose(y_new.values, y_ref.values, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(y_new.derivs, y_ref.derivs, rtol=1e-11, atol=0.0)
+
+
+def test_zero_history_stays_zero(p3, monkeypatch):
+    # the clamped history seeds the delayed-flux rings: y = 0 is an
+    # equilibrium, and every node and derivative stays exactly 0
+    y_new, y_ref = _y_with_reference(p3, ConstantHistory(0.0), 40.0 * p3.r, None, monkeypatch)
+    assert np.all(y_new.values == 0.0) and np.all(y_new.derivs == 0.0)
+    np.testing.assert_array_equal(y_new.values, y_ref.values)
+
+
 def test_first_non_finite_step_matches_reference(p3, monkeypatch):
     hist = HoledHistory(p3.r)
     with pytest.raises(IntegrationError) as new:
