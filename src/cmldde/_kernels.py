@@ -1,14 +1,13 @@
-"""Hot inner loops of the integrators.
+"""Hot inner loops of the integrators: two kernels, each with one source.
 
-The RK4 kernel has one source. It steps one delay interval at a time and
-holds the delayed flux at the previous interval's nodes and half-nodes in
-two rings, so each Hill power is computed once per node and half-node.
-Without numba it runs as plain Python on float scalars, through memoryviews
-and list rings; that path alone meets the acceptance time budgets. numba,
-when installed, is an optional accelerator that compiles the same source on
-arrays. The numba path has never been run, and neither has
-.github/workflows/tests.yml. The x recursion is a first-order linear filter
-and runs in scipy's compiled ``lfilter`` on either path.
+The RK4 kernel for y steps one delay interval at a time and holds the
+delayed flux at the previous interval's nodes and half-nodes in two rings,
+so each Hill power is computed once per node and half-node. The x kernel is
+the recursion x[i+1] = decay * x[i] + incr[i]. Without numba both run as
+plain Python on float scalars; that path alone meets the acceptance time
+budgets. numba, when installed, is an optional accelerator that compiles the
+same sources on arrays. The numba path has never been run, and neither has
+.github/workflows/tests.yml.
 """
 
 from __future__ import annotations
@@ -68,8 +67,17 @@ def _rk4_delay_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
     return -1
 
 
+def _exp_scan_impl(x, incr, decay):
+    # x[i+1] = decay * x[i] + incr[i]; once non-finite, x stays non-finite
+    xi = x[0]
+    for i in range(len(incr)):
+        xi = decay * xi + incr[i]
+        x[i + 1] = xi
+
+
 if USING_NUMBA:
     _rk4_delay_jit = njit(cache=True)(_rk4_delay_impl)
+    _exp_scan = njit(cache=True)(_exp_scan_impl)
 
     def rk4_delay(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
         """Run the compiled kernel on the arrays, with array rings."""
@@ -95,6 +103,12 @@ else:
         except OverflowError:
             return m + int(np.argmax(np.isnan(f[m + 1:])))
 
+    def _exp_scan(x, incr, decay):
+        # on Python floats a list and one slice store beat memoryview writes
+        out = [float(x[0])] * (len(incr) + 1)
+        _exp_scan_impl(out, incr.tolist(), float(decay))
+        x[1:] = out[1:]
+
 
 def exp_scan(x, incr, decay):
     """x[i+1] = decay * x[i] + incr[i] in place, from the given x[0].
@@ -103,14 +117,12 @@ def exp_scan(x, incr, decay):
     precomputed quadrature increment. Returns the index i of the first step
     whose result x[i+1] is non-finite, or -1 on success.
     """
-    from scipy.signal import lfilter  # on first use: the import costs about 20 MB
-
-    x[1:] = lfilter([1.0], [1.0, -decay], incr, zi=[decay * x[0]])[0]
+    _exp_scan(x, incr, decay)
     bad = np.flatnonzero(~np.isfinite(x[1:]))
     return int(bad[0]) if bad.size else -1
 
 
 def warmup():
-    """Trigger JIT compilation on tiny inputs (a trivial run without numba)."""
+    """Compile both kernels on tiny inputs (a trivial run of each without numba)."""
     rk4_delay(np.zeros(8), np.zeros(8), np.zeros(2), 2, 5, 0.5, 2.0, 1.0, 0.1, 1.5)
     exp_scan(np.zeros(4), np.zeros(3), 0.9)

@@ -24,6 +24,9 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.last_valid_time = last_valid_time
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.last_valid_time)
+
 
 class ConditioningError(RuntimeError):
     """A computation is too ill-conditioned to return a trustworthy value."""

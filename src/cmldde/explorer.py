@@ -113,13 +113,38 @@ class ZoneReport:
     equilibrium_state: StabilityState
 
 
+def _nearest_higher(h: list) -> list:
+    # index of the nearest strictly higher entry before each entry of h, or -1
+    out, stack = [], []
+    for j, hj in enumerate(h):
+        while stack and h[stack[-1]] <= hj:
+            stack.pop()
+        out.append(stack[-1] if stack else -1)
+        stack.append(j)
+    return out
+
+
+def _prominent_peaks(v: np.ndarray, prominence: float) -> np.ndarray:
+    # find_peaks(v, prominence=prominence)[0] bit for bit. A peak is a strict rise,
+    # an optional plateau (its middle sample) and a strict fall. Its sides [left,
+    # peak] and [peak, right) end at the nearest strictly higher peak or at v.size
+    # (the pad); prominence is its height over the higher of the two side minima.
+    ne = np.flatnonzero(v[1:] != v[:-1])
+    up = v[ne + 1] > v[ne]
+    j = np.flatnonzero(up[:-1] & ~up[1:])
+    peaks = (ne[j] + 1 + ne[j + 1]) // 2
+    h = v[peaks].tolist()
+    left = np.append(peaks + 1, 0)[_nearest_higher(h)]
+    right = np.append(peaks[::-1], v.size)[_nearest_higher(h[::-1])][::-1]
+    bounds = np.column_stack([left, peaks + 1, peaks, right]).ravel()
+    mins = np.minimum.reduceat(np.append(v, 0.0), bounds).reshape(-1, 4)
+    return peaks[v[peaks] - np.maximum(mins[:, 0], mins[:, 2]) >= prominence]
+
+
 def _refined_peak_times(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     # prominence filter keeps one peak per cycle on relaxation-type waveforms
     # whose slow segments carry roundoff-scale ripples
-    from scipy.signal import find_peaks  # on first use: the import costs about 20 MB
-
-    idx, _ = find_peaks(v, prominence=0.1 * (v.max() - v.min()))
-    idx = idx[(idx > 0) & (idx < v.size - 1)]
+    idx = _prominent_peaks(v, 0.1 * (v.max() - v.min()))
     if idx.size == 0:
         return np.empty(0)
     denom = v[idx - 1] - 2.0 * v[idx] + v[idx + 1]

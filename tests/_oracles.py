@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's own integration and
 root-finding paths: the DDE oracle runs scipy's DOP853 interval by interval,
 the frequency oracle uses brentq on the bracketing form, the root oracle is a
 Newton sweep over a grid of seeds, the kernel references are plain
-numpy-scalar loops with the compiled kernels' contracts, and the periodic x
+numpy-scalar loops with the compiled kernels' contracts, scipy.signal's
+lfilter and find_peaks pin the x recursion and the peak picking bit for bit
+(imported inside the two functions, since the benchmark's ensemble check
+imports this module and must not load scipy.signal), and the periodic x
 orbit reference wraps the delay through a periodic cubic spline and weights
 Simpson's rule by the exact exponential, and the x reference re-interpolates y
 through the dense output at every node and midpoint instead of reading the
@@ -180,6 +183,21 @@ def exp_scan_reference(x, incr, decay):
             return i
         x[i + 1] = xn
     return -1
+
+
+def exp_scan_lfilter(x, incr, decay):
+    """The x recursion as scipy's compiled first-order filter, in place from
+    the given x[0]."""
+    from scipy.signal import lfilter
+
+    x[1:] = lfilter([1.0], [1.0, -decay], incr, zi=[decay * x[0]])[0]
+
+
+def find_peaks_reference(v, prominence):
+    """Indices of the peaks of v whose prominence is at least the given one."""
+    from scipy.signal import find_peaks
+
+    return find_peaks(v, prominence=prominence)[0]
 
 
 def periodic_response_reference(gamma, times, h_values):

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ class TestIntegrateY:
         with pytest.raises(IntegrationError) as exc:
             integrate_y(p3, HoledHistory(p3.r), 30.0)
         assert np.isfinite(exc.value.last_valid_time)
+
+    def test_integration_error_survives_pickling(self, p3):
+        # process pools and caches pickle exceptions; the required
+        # last_valid_time argument must travel with the message
+        with pytest.raises(IntegrationError) as exc:
+            integrate_y(p3, HoledHistory(p3.r), 30.0)
+        for err in (IntegrationError("x", last_valid_time=1.5), exc.value):
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is IntegrationError
+            assert str(back) == str(err) and back.args == err.args
+            assert back.last_valid_time == err.last_valid_time
 
     def test_matches_adaptive_reference(self, p3, hopf_example):
         cases = [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmldde import (
     ConstantHistory,
@@ -23,6 +24,8 @@ from cmldde import (
     positive_equilibrium,
     zone_classify,
 )
+from cmldde.explorer import _prominent_peaks
+from _oracles import find_peaks_reference
 
 
 def sine_trajectory(base, amp, omega, t_end, dt):
@@ -76,6 +79,37 @@ class TestCycleEstimate:
         for lo in np.arange(0.0, horizon, 2000.0):
             _, w = slow.window(lo, lo + 2000.0)
             assert est.amplitude > 0.5 * (w.max() - w.min())
+
+
+class TestProminentPeaks:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(-3, 3).map(float), max_size=300),  # plateaus and ties
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=300),
+        ),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_matches_find_peaks(self, values, fraction):
+        v = np.array(values, dtype=float)
+        p = fraction * float(np.ptp(v)) if v.size else 0.0
+        assert np.array_equal(_prominent_peaks(v, p), find_peaks_reference(v, p))
+
+    @pytest.mark.parametrize("case", ["p3_relaxation_cycle", "worked_example_cycle",
+                                      "p3_converging"])
+    def test_matches_find_peaks_on_trajectories(self, case, p3, hopf_example):
+        if case == "worked_example_cycle":
+            n, beta0, k, delta = hopf_example
+            params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+            hist = ConstantHistory(1.01 * positive_equilibrium(params).y_star)
+            traj = integrate_y(params, hist, 2000.0)
+        else:
+            c = 0.55 if case == "p3_relaxation_cycle" else 0.2
+            traj = integrate_y(p3, eigenmode_history(p3, c), 20000.0)
+        for lo in (0.0, 0.5 * traj.t_end):
+            _, v = traj.window(lo, traj.t_end)
+            for p in (0.0, 1e-9 * np.ptp(v), 0.1 * np.ptp(v)):
+                assert np.array_equal(_prominent_peaks(v, p), find_peaks_reference(v, p))
 
 
 class TestClassifyOrbit:

@@ -18,7 +18,7 @@ from cmldde import (
     integrate_y,
     positive_equilibrium,
 )
-from _oracles import exp_scan_reference, rk4_delay_reference
+from _oracles import exp_scan_lfilter, exp_scan_reference, rk4_delay_reference
 from conftest import HoledHistory
 
 
@@ -100,6 +100,20 @@ def test_exp_scan_first_non_finite_step_matches_reference():
     x_new[0] = x_ref[0] = 0.3
     assert _kernels.exp_scan(x_new, incr, 0.97) == exp_scan_reference(x_ref, incr, 0.97) == 137
     np.testing.assert_array_equal(x_new[:138], x_ref[:138])
+
+
+@pytest.mark.parametrize("decay", [1e-9, 0.37, 0.9993, 1.0 - 1e-12])
+@pytest.mark.parametrize("size", [1, 2, 1280, 40000])
+def test_exp_scan_equals_lfilter_bit_for_bit(size, decay):
+    # the Python loop is the same first-order recursion as scipy's compiled
+    # filter, in the same floating-point order
+    rng = np.random.default_rng(size)
+    incr = rng.normal(scale=1e-3, size=size)
+    x_new, x_ref = np.empty(size + 1), np.empty(size + 1)
+    x_new[0] = x_ref[0] = rng.uniform(0.5, 5.0)
+    assert _kernels.exp_scan(x_new, incr, decay) == -1
+    exp_scan_lfilter(x_ref, incr, decay)
+    assert np.array_equal(x_new, x_ref)
 
 
 def test_overflow_reports_the_failing_step():

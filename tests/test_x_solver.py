@@ -262,16 +262,32 @@ class TestPeriodicX0Fourier:
         with pytest.raises(PreconditionError, match="endpoint"):
             periodic_response(p3.gamma, t, np.cos(t))
 
-    def test_import_loads_no_spline_or_quadrature(self):
-        # a fresh interpreter: the test session has loaded scipy.signal, which
-        # imports both modules
-        code = ("import sys, cmldde; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
-                "if m in sys.modules))")
+    def test_import_loads_no_spline_or_quadrature(self, tmp_path):
+        # a fresh interpreter runs both kernels, one x integration, one orbit
+        # classification and a short x-sim; none of them may pull in the heavy
+        # scipy subpackages
+        code = (
+            "import sys\n"
+            "from cmldde import (ConstantHistory, ModelParams, _kernels, cli, integrate_x,\n"
+            "                    integrate_y, positive_equilibrium)\n"
+            "from cmldde.explorer import classify_orbit\n"
+            "_kernels.warmup()\n"
+            "p = ModelParams(n=12.0, beta0=1.77, delta=0.05, k=1.18074, r=0.36)\n"
+            "eq = positive_equilibrium(p)\n"
+            "y = integrate_y(p, ConstantHistory(1.01 * eq.y_star), 60.0)\n"
+            "integrate_x(p, y, eq.x_star)\n"
+            "classify_orbit(y, eq.y_star, 60.0)\n"
+            "assert cli.main(['x-sim', '--n', '12', '--beta0', '1.77', '--delta', '0.05',\n"
+            "                 '--k', '1.18074', '--r', '0.36', '--t-end', '20',\n"
+            "                 '--out', sys.argv[1]]) == 0\n"
+            "heavy = ('signal', 'stats', 'integrate', 'interpolate', 'optimize', 'sparse')\n"
+            "print(sorted(m for m in heavy if 'scipy.' + m in sys.modules))\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(cmldde.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "[]"
+        assert (tmp_path / "x.csv").stat().st_size > 0
 
 
 class TestForcingTrace:
