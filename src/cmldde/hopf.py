@@ -28,6 +28,9 @@ from .model import ModelParams, b1_value, check_rates
 # surface_grid rejects larger grids before allocating; matches dde_sim.MAX_NODES
 MAX_SURFACE_CELLS = 2**24
 
+# cells per surface_grid block, which bounds the temporaries of one pass
+_SURFACE_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class HopfPoint:
@@ -132,6 +135,7 @@ def surface_grid(
     crossing frequency) are NaN; they trace the domain boundary of the surface.
     Cells whose threshold lies outside the double range are NaN as well.
     Range endpoints outside the model's parameter domain raise DomainError.
+    The grid is evaluated in numpy, a block of rows at a time.
     """
     nk, nd = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nk < 2 or nd < 2:
@@ -144,14 +148,29 @@ def surface_grid(
         raise PreconditionError("empty parameter range")
     ks = np.linspace(k_range[0], k_range[1], nk)
     ds = np.linspace(delta_range[0], delta_range[1], nd)
-    grid = np.full((nk, nd), np.nan)
-    for i, k in enumerate(ks):
-        for j, d in enumerate(ds):
-            try:
-                grid[i, j] = hopf_delay(n, beta0, k, d)
-            except (NoHopfError, PreconditionError, ConditioningError):
-                pass
+    grid = np.empty((nk, nd))
+    rows = max(1, _SURFACE_BLOCK // nd)
+    for i in range(0, nk, rows):
+        grid[i:i + rows] = _hopf_delay_cells(n, beta0, ks[i:i + rows, None], ds)
     return HopfSurface(n=n, beta0=beta0, k=ks, delta=ds, r_hopf=grid)
+
+
+def _hopf_delay_cells(n: float, beta0: float, k: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """hopf_delay broadcast over in-domain k and delta arrays, NaN wherever it raises.
+
+    The same operations in the same order as b1_value and _threshold_pieces,
+    so a cell equals the scalar result up to np.arccos against math.acos.
+    """
+    with np.errstate(all="ignore"):
+        b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
+        s_sum = delta + b1
+        k_b1 = k * b1
+        ratio = s_sum / k_b1
+        omega_h = np.sqrt(k_b1 * k_b1 - s_sum * s_sum)
+        r_h = np.arccos(ratio) / omega_h
+        ok = (beta0 * (k - 1.0) / delta > 1.0) & (b1 < 0.0) & (np.abs(ratio) < 1.0)
+    ok &= (sys.float_info.min <= omega_h) & (omega_h < math.inf) & np.isfinite(r_h)
+    return np.where(ok, r_h, np.nan)
 
 
 def load_bautin_table(path=None) -> list[BautinRow]:

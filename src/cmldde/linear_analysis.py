@@ -6,16 +6,25 @@ transcendental equation lambda + (b1 + delta) - k b1 e^(-lambda r) = 0. The
 classifier applies a fixed tree of sufficient conditions plus the known
 delay threshold for oscillatory loss of stability; when none of them applies
 it reports Undetermined rather than guessing.
+
+The roots themselves are Lambert W branches, evaluated through the Wright
+omega function omega(z), the solution of omega + log omega = z. It is
+computed here in plain scalar Python by Algorithm 917 of Lawrence, Corless
+and Jeffrey (ACM TOMS 38, 2012), the algorithm scipy.special.wrightomega
+implements: a regional series gives a first approximation and one or two
+Fritsch-Shafer-Crowley steps refine it, so every call does bounded work. On
+the branch cuts Im z = +/-pi, Re z <= -1 the two sides give the two real
+values W0(-e^x) and W-1(-e^x) (which side gives which depends on x, as in
+scipy); `leading_roots` takes both sides and so needs only the pair.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
-from scipy.special import wrightomega
 
 from .errors import ConditioningError, PreconditionError, RootNotFoundError
 from .hopf import _crossing_frequency
@@ -24,8 +33,11 @@ from .model import ModelParams, b1_coefficient
 #: absolute tolerance for the measure-zero marginal case of the trivial branch
 MARGINAL_TOL = 1e-12
 
-#: largest root count leading_roots returns; bounds its arrays
+#: largest root count leading_roots returns; bounds its work
 MAX_ROOTS = 10_000
+
+#: |Re z| or |Im z| past which omega(z) = z - log z to the last bit
+_OMEGA_ASYMPTOTIC = 1e20
 
 
 class StabilityState(Enum):
@@ -167,7 +179,75 @@ def classify_positive(params: ModelParams) -> StabilityVerdict:
 def characteristic_residual(params: ModelParams, lam: complex) -> float:
     """|lambda + (b1 + delta) - k b1 e^(-lambda r)| for the linearized equation."""
     lin = b1_coefficient(params)
-    return abs(lam + lin.sum_db1 - lin.k_b1 * np.exp(-lam * params.r))
+    return abs(lam + lin.sum_db1 - lin.k_b1 * cmath.exp(-lam * params.r))
+
+
+def _fsc_step(w: complex, z: complex, s: float) -> tuple[complex, complex, complex]:
+    """One Fritsch-Shafer-Crowley step for s w + log w = z; returns (w, r, 1 + s w)."""
+    r = z - s * w - cmath.log(w)
+    wp1 = s * w + 1.0
+    a = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + r / wp1 * (a - r) / (a - 2.0 * r)), r, wp1
+
+
+def _wright_omega(z: complex) -> complex:
+    """Wright omega function, the solution of omega + log omega = z.
+
+    Algorithm 917 (Lawrence, Corless & Jeffrey 2012) in scalar Python. Where
+    e^z underflows between the cuts the limit 0 is returned, and for |Re z|
+    or |Im z| above 1e20 the first two terms z - log z are exact in doubles.
+    """
+    x, y = z.real, z.imag
+    pi = math.pi
+    if math.isinf(x) or math.isinf(y):
+        # the limits: e^z -> 0 between the cuts, z itself everywhere else
+        return 0j if x == -math.inf and -pi < y <= pi else z
+    if x == -1.0 and abs(y) == pi:
+        return complex(-1.0, 0.0)
+    if -2.0 < x <= 1.0 and 1.0 < abs(y) < 2.0 * pi:
+        # series about the branch point -1 + i pi sign(y)
+        i_s = complex(0.0, math.copysign(1.0, y))
+        p = cmath.sqrt((2.0 * (z + 1.0 - i_s * pi)).conjugate()).conjugate()
+        w = -1.0 + (i_s + (1.0 / 3.0 + (-i_s / 36.0 + (1.0 / 270.0 + i_s / 4320.0 * p) * p) * p)
+                    * p) * p
+    elif x <= -2.0 and -pi < y <= pi:
+        # between the cuts towards -infinity: series in e^z
+        p = cmath.exp(z)
+        w = (1.0 + (-1.0 + (1.5 + (-8.0 / 3.0 + 125.0 / 24.0 * p) * p) * p) * p) * p
+        if w == 0.0:
+            return w  # e^z underflowed, and log 0 is undefined
+    elif (-2.0 < x <= 1.0 and -1.0 <= y <= 1.0) or (
+            -2.0 < x and (x - 1.0) * (x - 1.0) + y * y <= pi * pi):
+        # series about z = 1
+        p = z - 1.0
+        w = 0.5 + 0.5 * z + (1.0 / 16.0 + (-1.0 / 192.0 + (-1.0 / 3072.0 + 13.0 / 61440.0 * p)
+                                           * p) * p) * p * p
+    elif max(abs(x), abs(y)) > _OMEGA_ASYMPTOTIC:
+        return z - cmath.log(z)
+    else:
+        # asymptotic series about infinity; in the wings next to a cut it is
+        # taken in t = z -/+ i pi with log(-t)
+        if x <= -1.05 and pi <= abs(y) and abs(y) - pi <= -0.75 * (x + 1.0):
+            t = z - complex(0.0, math.copysign(pi, y))
+            log_t = cmath.log(-t)
+        else:
+            t, log_t = z, cmath.log(z)
+        w = ((1.0 + (-1.5 + log_t / 3.0) * log_t) * log_t
+             + ((-1.0 + 0.5 * log_t) * log_t + (log_t + (t - log_t) * t) * t) * t) / (t * t * t)
+
+    # within 0.01 of a cut, iterate on -omega and z -/+ i pi, which is smooth
+    # across it; y -/+ pi is exact there
+    s = 1.0
+    if x <= -0.99 and abs(abs(y) - pi) <= 0.01:
+        s = -1.0
+        z = complex(x, y - math.copysign(pi, y))
+        w = -w
+    w, r, wp1 = _fsc_step(w, z, s)
+    # a second step only where the error estimate of the first exceeds eps
+    if abs((2.0 * w * w - 8.0 * w - 1.0) * abs(r) ** 4) >= (
+            sys.float_info.epsilon * 72.0 * abs(wp1) ** 6):
+        w = _fsc_step(w, z, s)[0]
+    return s * w
 
 
 def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
@@ -183,6 +263,12 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
     second real root that exists when -1/e <= z < 0. Each conjugate pair is
     reported once (im >= 0); `count` roots are returned, or one when b1 = 0.
     Raises ConditioningError when a returned root would not be finite.
+
+    omega is Algorithm 917 in scalar Python (see the module docstring), a
+    few microseconds per branch, so the cost grows linearly with `count`:
+    tens of microseconds at the counts the package uses, about 10 ms at
+    count = 1000 and 0.1 s at MAX_ROOTS, against the 0.4 s it takes a process
+    to import scipy.special.
     """
     if not 1 <= count <= MAX_ROOTS:
         raise PreconditionError(f"count must be in [1, {MAX_ROOTS}], got {count}")
@@ -194,26 +280,31 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
         return [CharacteristicRoot(-params.delta, 0.0)]
 
     # theta = -2 pi (z > 0) folds onto 2 pi; theta = -pi (z < 0) onto pi unless both are real
-    theta = math.pi * (2.0 * np.arange(-1, count) + (k_b1 < 0.0))
+    odd = k_b1 < 0.0
     log_kr = math.log(abs(k_b1)) + math.log(r)
-    w = wrightomega(log_kr + s_sum * r + 1j * theta)
-    w_abs = np.abs(w)
-    im = np.abs(w.imag)
-    # real roots come back with roundoff imaginary parts (below 1e-28 relative)
-    im[im <= 1e-14 * w_abs] = 0.0
-    w = w.real + 1j * im
-    # Re lambda = Re w / r - (delta + b1) = (log|k b1 r| - log|w|) / r; the
-    # first form cancels when |w| is large, the second when it is small; a
-    # root past the double range (tiny r) is rejected below, not warned about
-    with np.errstate(divide="ignore", over="ignore"):
-        re = np.where(w_abs > 1.0, (log_kr - np.log(w_abs)) / r, w.real / r - s_sum)
-        order = np.lexsort((im, -re))
-        w, re, im = w[order], re[order], im[order] / r
-    # a folded duplicate sorts next to its twin
-    fresh = np.ones(w.size, dtype=bool)
-    fresh[1:] = np.abs(np.diff(w)) > 1e-9 * np.abs(w[1:])
-    keep = np.flatnonzero(fresh)[:count]
-    roots = [CharacteristicRoot(float(re[i]), float(im[i])) for i in keep]
+    x = log_kr + s_sum * r
+    branches = []
+    for j in range(-1, count):
+        w = _wright_omega(complex(x, math.pi * (2.0 * j + odd)))
+        w_abs = abs(w)
+        im = abs(w.imag)
+        # real roots come back with roundoff imaginary parts (below 1e-28 relative)
+        if im <= 1e-14 * w_abs:
+            im = 0.0
+        # Re lambda = Re w / r - (delta + b1) = (log|k b1 r| - log|w|) / r; the
+        # first form cancels when |w| is large, the second when it is small; a
+        # root past the double range (tiny r) is rejected below
+        re = (log_kr - math.log(w_abs)) / r if w_abs > 1.0 else w.real / r - s_sum
+        branches.append((re, im, complex(w.real, im)))
+    branches.sort(key=lambda b: (-b[0], b[1]))
+    roots = []
+    prev = None
+    for re, im, w in branches:
+        # a folded duplicate sorts next to its twin
+        if prev is None or abs(w - prev) > 1e-9 * abs(w):
+            roots.append(CharacteristicRoot(re, im / r))
+        prev = w
+    roots = roots[:count]
     if not all(math.isfinite(root.re) and math.isfinite(root.im) for root in roots):
         raise ConditioningError("a characteristic root lies outside the double range")
     return roots

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own integration and
 root-finding paths: the DDE oracle runs scipy's DOP853 interval by interval,
-the frequency oracle uses brentq on the bracketing form, the root oracle is a
-Newton sweep over a grid of seeds, the kernel references are plain
+the frequency oracle uses brentq on the bracketing form, the root oracles are
+a Newton sweep over a grid of seeds and the Lambert W branches evaluated as
+scipy's Wright omega on numpy arrays, the kernel references are plain
 numpy-scalar loops with the compiled kernels' contracts, scipy.signal's
 lfilter and find_peaks pin the x recursion and the peak picking bit for bit
 (imported inside the two functions, since the benchmark's ensemble check
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from cmldde import (
     CharacteristicRoot,
@@ -31,6 +33,7 @@ from cmldde import (
     positive_equilibrium,
     rhs_y,
 )
+from cmldde.linear_analysis import MAX_ROOTS
 from cmldde.model import forcing
 
 #: Newton seed grid density for the root sweep (per axis)
@@ -127,6 +130,48 @@ def leading_roots_reference(params, count):
             stacklevel=2,
         )
     return [CharacteristicRoot(float(z.real), float(z.imag)) for z in accepted[:count]]
+
+
+def leading_roots_wrightomega_reference(params, count):
+    """Rightmost characteristic roots from the Lambert W branches, vectorised.
+
+    The same theta grid, near-real clamp, real-part spellings, sort and
+    folded-twin dedup as `leading_roots`, with every branch evaluated at once
+    by scipy's compiled Wright omega on numpy arrays.
+    """
+    if not 1 <= count <= MAX_ROOTS:
+        raise PreconditionError(f"count must be in [1, {MAX_ROOTS}], got {count}")
+    lin = b1_coefficient(params)
+    s_sum, k_b1, r = lin.sum_db1, lin.k_b1, params.r
+
+    if lin.b1 == 0.0:
+        # equation degenerates to lambda = -(b1 + delta) = -delta
+        return [CharacteristicRoot(-params.delta, 0.0)]
+
+    # theta = -2 pi (z > 0) folds onto 2 pi; theta = -pi (z < 0) onto pi unless both are real
+    theta = math.pi * (2.0 * np.arange(-1, count) + (k_b1 < 0.0))
+    log_kr = math.log(abs(k_b1)) + math.log(r)
+    w = wrightomega(log_kr + s_sum * r + 1j * theta)
+    w_abs = np.abs(w)
+    im = np.abs(w.imag)
+    # real roots come back with roundoff imaginary parts (below 1e-28 relative)
+    im[im <= 1e-14 * w_abs] = 0.0
+    w = w.real + 1j * im
+    # Re lambda = Re w / r - (delta + b1) = (log|k b1 r| - log|w|) / r; the
+    # first form cancels when |w| is large, the second when it is small; a
+    # root past the double range (tiny r) is rejected below, not warned about
+    with np.errstate(divide="ignore", over="ignore"):
+        re = np.where(w_abs > 1.0, (log_kr - np.log(w_abs)) / r, w.real / r - s_sum)
+        order = np.lexsort((im, -re))
+        w, re, im = w[order], re[order], im[order] / r
+    # a folded duplicate sorts next to its twin
+    fresh = np.ones(w.size, dtype=bool)
+    fresh[1:] = np.abs(np.diff(w)) > 1e-9 * np.abs(w[1:])
+    keep = np.flatnonzero(fresh)[:count]
+    roots = [CharacteristicRoot(float(re[i]), float(im[i])) for i in keep]
+    if not all(math.isfinite(root.re) and math.isfinite(root.im) for root in roots):
+        raise ConditioningError("a characteristic root lies outside the double range")
+    return roots
 
 
 def _pow_pos_reference(v, n):

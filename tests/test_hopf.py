@@ -119,6 +119,42 @@ class TestSurfaceGrid:
         with pytest.raises(DomainError, match=message):
             surface_grid(2, 0.5, k_range, delta_range, 2)
 
+    def test_matches_per_cell_threshold(self):
+        # random grids crossing the existence, b1 = 0 and |ratio| = 1 boundaries,
+        # against hopf_delay cell by cell: the same NaN cells and values within
+        # 4 ulps. Fixed cases: the README grid; b1 < 0 without a positive
+        # equilibrium (n < 1, k < 1); (k b1)^2 and (delta + b1)^2 underflowing;
+        # (k b1)^2 overflowing while (delta + b1)^2 does not (omega_H = inf)
+        rng = np.random.default_rng(12)
+        cases = [(2.0, 2.5, (1.01, 1.98), (0.001, 0.12), 60),
+                 (0.5, 1.0, (0.5, 1.9), (0.01, 1.0), 30),
+                 (2.0, 1e300, (1.5, 1.6), (1e-300, 3e-300), (7, 9)),
+                 (1000.0, 1e160, (1.8, 1.95), (5e150, 2e151), (9, 7)),
+                 (1.0, 0.5, (1.1, 1.2), (0.01, 0.02), 3)]
+        for _ in range(40):
+            k_lo = rng.uniform(0.5, 1.9)
+            d_lo = rng.uniform(0.001, 0.2)
+            cases.append((rng.uniform(1.0, 12.0), rng.uniform(0.3, 2.5),
+                          (k_lo, rng.uniform(k_lo, 2.0)), (d_lo, d_lo + rng.uniform(0.001, 0.5)),
+                          tuple(int(v) for v in rng.integers(2, 40, 2))))
+        nan_cells = finite_cells = 0
+        for n, beta0, k_range, delta_range, res in cases:
+            surf = surface_grid(n, beta0, k_range, delta_range, res)
+            expected = np.full(surf.r_hopf.shape, np.nan)
+            for i, k in enumerate(surf.k):
+                for j, d in enumerate(surf.delta):
+                    try:
+                        expected[i, j] = hopf_delay(n, beta0, float(k), float(d))
+                    except (NoHopfError, PreconditionError, ConditioningError):
+                        pass
+            finite = np.isfinite(expected)
+            np.testing.assert_array_equal(np.isfinite(surf.r_hopf), finite)
+            got, want = surf.r_hopf[finite], expected[finite]
+            assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+            nan_cells += (~finite).sum()
+            finite_cells += finite.sum()
+        assert nan_cells > 1000 and finite_cells > 5000
+
     def test_cell_cap(self):
         # 4097 x 4096 is one row past 2**24 cells: rejected before allocating
         started = time.perf_counter()

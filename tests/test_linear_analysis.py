@@ -4,7 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import lambertw
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import lambertw, wrightomega
 
 from cmldde import (
     ConditioningError,
@@ -22,9 +23,15 @@ from cmldde import (
     leading_roots,
     omega0,
 )
-from cmldde.linear_analysis import MAX_ROOTS, _omega0
+from cmldde.linear_analysis import MAX_ROOTS, _omega0, _wright_omega
 from conftest import sample_params
-from _oracles import leading_roots_reference, omega0_reference
+from _oracles import (
+    leading_roots_reference,
+    leading_roots_wrightomega_reference,
+    omega0_reference,
+)
+
+EPS = 2.0**-52
 
 
 def params_with_ratio(ratio, n=2.0, beta0=2.0, k=1.5, r=1.0):
@@ -182,6 +189,70 @@ class TestClassifyPositive:
                 assert classify_positive(q).state is v.state
 
 
+def assert_omega_matches_scipy(zs, rel=1e-13):
+    for z, expected in zip(zs, wrightomega(zs)):
+        w = _wright_omega(complex(z))
+        assert abs(w - expected) <= rel * abs(expected), (z, w, expected)
+
+
+class TestWrightOmega:
+    def test_theta_lines_match_scipy(self):
+        # the lines leading_roots evaluates: Im z = j pi, Re z = log|z_Lambert|
+        rng = np.random.default_rng(917)
+        for j in range(-2, 61):
+            x = np.concatenate([rng.uniform(-800.0, 800.0, 800), rng.uniform(-3.0, 3.0, 200)])
+            assert_omega_matches_scipy(x + 1j * math.pi * j)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_branch_point_disc_matches_scipy(self, sign):
+        rng = np.random.default_rng(36)
+        radius = 0.1 * np.sqrt(rng.uniform(0.0, 1.0, 5000))
+        zs = complex(-1.0, sign * math.pi) + radius * np.exp(1j * rng.uniform(-math.pi, math.pi, 5000))
+        assert_omega_matches_scipy(zs)
+
+    def test_cut_gives_the_real_pair(self):
+        # on Im z = +/-pi, Re z <= -1 the two sides hold W0(-e^x) and W-1(-e^x);
+        # which side holds which changes at x = -2 in scipy, so compare the sets
+        rng = np.random.default_rng(4320)
+        for x in np.concatenate([rng.uniform(-800.0, -1.0, 500), rng.uniform(-2.5, -1.0, 500),
+                                 [-1.0, -2.0, -745.5]]):
+            pair = sorted((_wright_omega(complex(x, s * math.pi)) for s in (1.0, -1.0)),
+                          key=lambda w: w.real)
+            expected = sorted((complex(wrightomega(complex(x, s * math.pi))) for s in (1.0, -1.0)),
+                              key=lambda w: w.real)
+            for w, e in zip(pair, expected):
+                assert abs(w.imag) <= 1e-14 * abs(w), (x, w)
+                assert abs(w - e) <= 1e-13 * abs(e), (x, w, e)
+            lo, hi = pair
+            assert lo.real <= -1.0 <= hi.real <= 0.0
+            if x >= -700.0:  # W0(-e^x) is a normal double
+                for w in pair:
+                    # w e^w = -e^x, written as log(-w) + w = x
+                    assert abs(math.log(-w.real) + w.real - x) <= 8 * EPS * (1.0 + abs(x))
+
+    def test_underflow_returns_the_limit(self):
+        # between the cuts e^z underflows past Re z = -745: omega -> 0, as in scipy
+        for x in (-745.2, -800.0, -1e5, -1e300):
+            for y in (0.0, 1.0, -3.0, math.pi):
+                assert _wright_omega(complex(x, y)) == 0.0 == wrightomega(complex(x, y))
+
+    def test_large_arguments_match_scipy(self):
+        zs = np.array([1e19, 1e21 + 3j, -1e25 + 4j, 3 - 1e200j, -1e200 - math.pi * 1j,
+                       1e300 + 1e300j, 2e102 + 1j])
+        assert_omega_matches_scipy(zs)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(-700.0, 1e4), st.floats(-1e5, 1e5))
+    def test_residual(self, x, y):
+        # omega + Log omega = z off the cut lines, where omega is negative real
+        # and the sign of its zero imaginary part picks the side of Log;
+        # Re z >= -700 keeps omega a normal double
+        assume(not (x <= -1.0 and abs(y) == math.pi))
+        z = complex(x, y)
+        w = _wright_omega(z)
+        assert abs(w + cmath.log(w) - z) <= 8 * EPS * (1.0 + abs(z)), (z, w)
+
+
 class TestLeadingRoots:
     def test_degenerate_slope_collapses(self):
         p = ModelParams(n=3, beta0=3.0, delta=1.0, k=1.5, r=1.0)
@@ -215,6 +286,17 @@ class TestLeadingRoots:
         for i, a in enumerate(roots):
             for b in roots[i + 1:]:
                 assert abs(a.value - b.value) > 1e-8
+
+    def test_matches_wrightomega_reference(self):
+        rng = np.random.default_rng(1996)
+        for _ in range(2000):
+            p = sample_params(rng)
+            for count in (1, 2, 5, 50):
+                new = leading_roots(p, count)
+                old = leading_roots_wrightomega_reference(p, count)
+                assert len(new) == len(old), (p, count)
+                for a, b in zip(new, old):
+                    assert abs(a.value - b.value) <= 1e-13 * abs(b.value), (p, count, a, b)
 
     def test_top_roots_match_sweep(self):
         # the sweep finds nothing left of its window at re = -5/r, so it may return one root

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -264,12 +265,13 @@ class TestPeriodicX0Fourier:
 
     def test_import_loads_no_spline_or_quadrature(self, tmp_path):
         # a fresh interpreter runs both kernels, one x integration, one orbit
-        # classification and a short x-sim; none of them may pull in the heavy
-        # scipy subpackages
+        # classification, an eigenmode history (one root search), a short
+        # x-sim and a stability report with five roots; none of them may load
+        # scipy at all
         code = (
             "import sys\n"
-            "from cmldde import (ConstantHistory, ModelParams, _kernels, cli, integrate_x,\n"
-            "                    integrate_y, positive_equilibrium)\n"
+            "from cmldde import (ConstantHistory, ModelParams, _kernels, cli, eigenmode_history,\n"
+            "                    integrate_x, integrate_y, positive_equilibrium)\n"
             "from cmldde.explorer import classify_orbit\n"
             "_kernels.warmup()\n"
             "p = ModelParams(n=12.0, beta0=1.77, delta=0.05, k=1.18074, r=0.36)\n"
@@ -277,17 +279,21 @@ class TestPeriodicX0Fourier:
             "y = integrate_y(p, ConstantHistory(1.01 * eq.y_star), 60.0)\n"
             "integrate_x(p, y, eq.x_star)\n"
             "classify_orbit(y, eq.y_star, 60.0)\n"
-            "assert cli.main(['x-sim', '--n', '12', '--beta0', '1.77', '--delta', '0.05',\n"
-            "                 '--k', '1.18074', '--r', '0.36', '--t-end', '20',\n"
-            "                 '--out', sys.argv[1]]) == 0\n"
-            "heavy = ('signal', 'stats', 'integrate', 'interpolate', 'optimize', 'sparse')\n"
-            "print(sorted(m for m in heavy if 'scipy.' + m in sys.modules))\n"
+            "eigenmode_history(p, 0.05)\n"
+            "params = ['--n', '12', '--beta0', '1.77', '--delta', '0.05', '--k', '1.18074',\n"
+            "          '--r', '0.36']\n"
+            "assert cli.main(['x-sim', *params, '--t-end', '20', '--out', sys.argv[1]]) == 0\n"
+            "assert cli.main(['stability', *params, '--roots', '5', '--format', 'json',\n"
+            "                 '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cmldde.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")],
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv"),
+                              str(tmp_path / "stability.json")],
                              capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "[]"
         assert (tmp_path / "x.csv").stat().st_size > 0
+        assert len(json.loads((tmp_path / "stability.json").read_text())["leading_roots"]) == 5
 
 
 class TestForcingTrace:
