@@ -104,10 +104,9 @@ else:
             return m + int(np.argmax(np.isnan(f[m + 1:])))
 
     def _exp_scan(x, incr, decay):
-        # on Python floats a list and one slice store beat memoryview writes
-        out = [float(x[0])] * (len(incr) + 1)
-        _exp_scan_impl(out, incr.tolist(), float(decay))
-        x[1:] = out[1:]
+        # memoryviews hand the loop Python floats and take its writes in place
+        _exp_scan_impl(memoryview(x), memoryview(np.ascontiguousarray(incr, dtype=float)),
+                       float(decay))
 
 
 def exp_scan(x, incr, decay):

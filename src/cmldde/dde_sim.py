@@ -14,6 +14,7 @@ delay window.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
@@ -159,6 +160,18 @@ class Trajectory(History):
         return _hermite(self.values[idx], self.values[idx + 1], self.derivs[idx],
                         self.derivs[idx + 1], pos - idx, self.dt, order)
 
+    def _step_midpoints(self):
+        """value_at(t0 + dt*(i + 1/2)) for every step i, bit for bit while each
+        midpoint rounds into its own step (|t0|/dt << 2^50), from node slices."""
+        n, y, f = self.values.size - 1, self.values, self.derivs
+        t = self.t0 + self.dt * (np.arange(n) + 0.5)
+        out = _hermite(y[:-1], y[1:], f[:-1], f[1:],
+                       (t - self.t0) / self.dt - np.arange(n), self.dt, 0)
+        if self.history is not None and t[0] <= 0.0:
+            p = int(np.searchsorted(t, 0.0, side="right"))
+            out[:p] = self.history.value(t[:p])
+        return out
+
     def value_at(self, t):
         """Value at arbitrary times inside the covered span (vectorized)."""
         return self._dense(t, 0)
@@ -170,10 +183,12 @@ class Trajectory(History):
     value, derivative = value_at, derivative_at  # the History interface
 
     def window(self, t_lo: float, t_hi: float):
-        """(times, values) of stored nodes with t_lo <= t <= t_hi."""
-        t = self.times
-        sel = (t >= t_lo) & (t <= t_hi)
-        return t[sel], self.values[sel]
+        """(times, values) of stored nodes with t_lo <= t <= t_hi; values is a view.
+        Node times t0 + dt*i rise with i: bisect that expression for the range."""
+        nodes, node = range(self.values.size), lambda i: self.t0 + self.dt * i
+        lo = bisect.bisect_left(nodes, True, key=lambda i: node(i) >= t_lo)
+        hi = max(lo, bisect.bisect_left(nodes, True, key=lambda i: not node(i) <= t_hi))
+        return self.t0 + self.dt * np.arange(lo, hi), self.values[lo:hi]
 
     def write_csv(self, dest, labels=("t", "y", "ydot"), stride: int = 1):
         """Dump stored nodes to a path or text stream as CSV (LF endings, header row)."""

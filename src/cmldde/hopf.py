@@ -89,7 +89,8 @@ def _crossing_frequency(s_sum: float, k_b1: float) -> float:
 def _threshold_pieces(n: float, beta0: float, k: float, delta: float) -> tuple[float, float]:
     """(arccos term, radical omega_H); raises DomainError outside the model's
     parameter domain, NoHopfError when undefined and ConditioningError when
-    omega_H is out of range."""
+    omega_H is out of range. numpy scalars are taken as Python floats."""
+    n, beta0, k, delta = float(n), float(beta0), float(k), float(delta)
     check_rates(n, beta0, delta, k)
     b1 = b1_value(n, beta0, k, delta)
     if b1 >= 0.0:

@@ -106,7 +106,7 @@ class LinearizationData:
 
 def feedback(y, beta0: float, n: float):
     """Re-entry flux beta0 y / (1 + y^n). Vectorized over y."""
-    if np.any(np.asarray(y) < 0.0):
+    if (y < 0.0) if np.isscalar(y) else np.any(np.asarray(y) < 0.0):
         raise DomainError("feedback requires y >= 0")
     return beta0 * y / (1.0 + hill_pow(y, n))
 
@@ -124,9 +124,13 @@ def rhs_x(x_now, y_now, y_delayed, params: ModelParams):
 
 def forcing(y_now, y_delayed, params: ModelParams):
     """The y-dependent forcing of the x equation: feedback(y) - (k/2) feedback(y_delayed)."""
-    return feedback(y_now, params.beta0, params.n) - 0.5 * params.k * feedback(
-        y_delayed, params.beta0, params.n
-    )
+    return flux_forcing(feedback(y_now, params.beta0, params.n),
+                        feedback(y_delayed, params.beta0, params.n), params)
+
+
+def flux_forcing(flux_now, flux_delayed, params: ModelParams):
+    """The x forcing from the re-entry fluxes at t and t - r (elementwise)."""
+    return flux_now - 0.5 * params.k * flux_delayed
 
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:
@@ -168,6 +172,7 @@ def b1_value(n: float, beta0: float, k: float, delta: float) -> float:
     b1 = (delta/(k-1)) [n delta / (beta0 (k-1)) - n + 1]; valid whenever the
     positive equilibrium exists; ConditioningError when it is not finite.
     """
+    n, beta0, k, delta = float(n), float(beta0), float(k), float(delta)
     if beta0 * (k - 1.0) / delta <= 1.0:
         raise PreconditionError("b1 is defined only when the positive equilibrium exists")
     b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)

@@ -8,8 +8,9 @@ variation-of-constants formula
 
 with the integral evaluated by Simpson's rule under the exact exponential
 weight. x is solved on y's own grid: integrate_y makes r a whole number m of
-steps, so y(t_i) and y(t_i - r) are stored nodes, and only the Simpson
-midpoints come from y's dense output, in one read. The homogeneous part is
+steps, so y(t_i) and y(t_i - r) are stored nodes, and the Simpson midpoints
+are the Hermite interpolant at each step's centre, read from slices of the
+nodes; there is no dense-output read. The homogeneous part is
 exact, which makes the convergence-transfer statement about this formula
 directly testable, and removes any stability constraint from gamma.
 
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
-from .model import Equilibrium, EquilibriumKind, ModelParams, forcing, positive_equilibrium
+from .model import (Equilibrium, EquilibriumKind, ModelParams, feedback, flux_forcing, forcing,
+                    positive_equilibrium)
 from .dde_sim import Trajectory
 
 
@@ -58,10 +60,11 @@ class ConvergenceReport:
     window_sups: tuple[float, float]
 
 
-def _clamped_forcing(params: ModelParams, y_now, y_delayed):
-    # stored or interpolated y may dip just below 0, where the Hill flux is undefined
-    clamp = lambda v: np.maximum(v, 0.0)
-    return forcing(clamp(y_now), clamp(y_delayed), params)
+def _clamped_forcing(params: ModelParams, y: np.ndarray, m: int) -> np.ndarray:
+    # forcing(y[m:], y[:-m]) from one Hill-flux pass (forcing is elementwise); stored
+    # or interpolated y may dip just below 0, where the flux is undefined
+    flux = feedback(np.maximum(y, 0.0), params.beta0, params.n)
+    return flux_forcing(flux[m:], flux[:-m], params)
 
 
 def _delay_steps(params: ModelParams, y_traj: Trajectory) -> int:
@@ -86,7 +89,7 @@ def forcing_trace(params: ModelParams, y_traj: Trajectory) -> ForcingTrace:
     else:
         reference = Equilibrium(0.0, 0.0, EquilibriumKind.TRIVIAL)
     m, y = _delay_steps(params, y_traj), y_traj.values
-    h = _clamped_forcing(params, y[m:], y[:-m]) - params.gamma * reference.x_star
+    h = _clamped_forcing(params, y, m) - params.gamma * reference.x_star
     return ForcingTrace(times=y_traj.times[m:], values=h, reference=reference)
 
 
@@ -95,21 +98,20 @@ def integrate_x(params: ModelParams, y_traj: Trajectory, x0: float) -> Trajector
 
     x covers y's span from t = 0 on y's own grid. y_traj must start at -r on
     a grid whose step divides r, with at least one step after 0, as
-    integrate_y returns it; anything else is a PreconditionError.
+    integrate_y returns it; anything else is a PreconditionError. y at the
+    Simpson midpoints is Hermite-interpolated on slices of the stored nodes.
     """
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
-    m, y, dt = _delay_steps(params, y_traj), y_traj.values, y_traj.dt
-    nsteps = y.size - 1 - m
-    f_nodes = _clamped_forcing(params, y[m:], y[:-m])
-    y_half = y_traj.value_at(y_traj.t0 + dt * (np.arange(m + nsteps) + 0.5))
-    f_half = _clamped_forcing(params, y_half[m:], y_half[:-m])
+    m, dt = _delay_steps(params, y_traj), y_traj.dt
+    f_half = _clamped_forcing(params, y_traj._step_midpoints(), m)
+    f_nodes = _clamped_forcing(params, y_traj.values, m)
 
     decay = math.exp(-params.gamma * dt)
     decay_half = math.exp(-0.5 * params.gamma * dt)
     incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
 
-    x = np.empty(nsteps + 1)
+    x = np.empty(f_nodes.size)
     x[0] = x0
     bad = _kernels.exp_scan(x, incr, decay)
     if bad >= 0:
@@ -161,7 +163,7 @@ def periodic_x0(params: ModelParams, times: np.ndarray, values: np.ndarray) -> P
     shift = np.exp(-2j * math.pi * params.r / period * np.arange(y.size // 2 + 1))
     y_delayed = np.fft.irfft(np.fft.rfft(y) * shift, y.size)
     eq = positive_equilibrium(params)
-    h = _clamped_forcing(params, y, y_delayed) - params.gamma * eq.x_star
+    h = forcing(np.maximum(y, 0.0), np.maximum(y_delayed, 0.0), params) - params.gamma * eq.x_star
     base = periodic_response(params.gamma, times, np.append(h, h[0]))
     return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
 

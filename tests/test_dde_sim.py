@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cmldde import (
     ConstantHistory,
@@ -298,6 +299,55 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             traj.write_csv(out, stride=0)
         assert not out.exists()
+
+
+class TestNodeViews:
+    """Step midpoints and windows read from node slices, against the dense
+    output and boolean-mask reads they replace."""
+
+    @staticmethod
+    def _trajectory(t0, dt, size, seed, with_history):
+        rng = np.random.default_rng(seed)
+        hist = EigenmodeHistory(y_base=1.0, c=0.3, mu=0.2, omega=2.5) if with_history else None
+        return Trajectory(t0=t0, dt=dt, values=rng.normal(size=size),
+                          derivs=rng.normal(size=size), history=hist)
+
+    @settings(max_examples=400, deadline=None)
+    @given(t0=st.floats(-1e3, 1e3), dt=st.floats(1e-4, 10.0), size=st.integers(2, 300),
+           seed=st.integers(0, 2**32 - 1), with_history=st.booleans())
+    @example(t0=-2.5, dt=1.0, size=6, seed=0, with_history=True)  # a midpoint at t = 0
+    @example(t0=-7.55, dt=7.55 / 64, size=200, seed=1, with_history=True)  # integrate_y's grid
+    def test_step_midpoints_equal_value_at(self, t0, dt, size, seed, with_history):
+        traj = self._trajectory(t0, dt, size, seed, with_history)
+        got = traj._step_midpoints()
+        want = traj.value_at(t0 + dt * (np.arange(size - 1) + 0.5))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=600, deadline=None)
+    @given(t0=st.floats(-1e3, 1e3), dt=st.floats(1e-4, 10.0), size=st.integers(2, 300),
+           data=st.data())
+    def test_window_equals_mask_selection(self, t0, dt, size, data):
+        traj = self._trajectory(t0, dt, size, 0, False)
+        t = t0 + dt * np.arange(size)
+        node = st.sampled_from(t.tolist())
+        bound = st.one_of(
+            node,  # exactly on a node
+            node.map(lambda v: math.nextafter(v, -math.inf)),
+            node.map(lambda v: math.nextafter(v, math.inf)),
+            st.floats(t[0] - 3.0 * dt, t[-1] + 3.0 * dt),  # in and just outside the span
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+        lo, hi = data.draw(bound), data.draw(bound)  # reversed and empty windows included
+        sel = (t >= lo) & (t <= hi)
+        t_w, v_w = traj.window(lo, hi)
+        assert t_w.dtype == v_w.dtype == np.float64
+        assert t_w.tobytes() == t[sel].tobytes()
+        assert v_w.tobytes() == traj.values[sel].tobytes()
+
+    def test_window_values_are_a_view(self, p3):
+        traj = integrate_y(p3, ConstantHistory(1.0), 50.0)
+        _, v = traj.window(10.0, 20.0)
+        assert v.size > 0 and np.shares_memory(v, traj.values)
 
 
 class TestEigenmodeConstruction:

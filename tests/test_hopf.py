@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ class TestHopfDelay:
         # b1 = -2e-300: the squares under omega_H underflow to 0
         with pytest.raises(ConditioningError):
             hopf_delay(2, 1e300, 1.5, 1e-300)
+
+    @pytest.mark.parametrize("func", [hopf_delay, hopf_omega, hopf_point])
+    def test_numpy_scalar_parameters(self, func):
+        # the same overflow as with Python floats: ConditioningError, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError):
+                func(2, 1e300, np.float64(1.5), np.float64(1e-300))
 
     def test_dominant_sum_never_crosses(self):
         # b1 < 0 but |delta + b1| >= |k b1|

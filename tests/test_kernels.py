@@ -116,6 +116,17 @@ def test_exp_scan_equals_lfilter_bit_for_bit(size, decay):
     assert np.array_equal(x_new, x_ref)
 
 
+def test_exp_scan_on_strided_views():
+    # a strided incr (and x) is read in place, element for element
+    rng = np.random.default_rng(3)
+    incr = rng.normal(scale=1e-3, size=3 * 500)[::3]
+    x_new = np.empty(2 * 501)[::2]
+    x_ref = np.empty(501)
+    x_new[0] = x_ref[0] = 1.7
+    assert _kernels.exp_scan(x_new, incr, 0.93) == exp_scan_reference(x_ref, incr.copy(), 0.93)
+    assert np.array_equal(x_new, x_ref)
+
+
 def test_overflow_reports_the_failing_step():
     # an absurdly coarse step (dt = r) makes the scheme grow without bound;
     # the kernel stops at the first step whose result, or one of its Hill

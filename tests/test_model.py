@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestFeedback:
         out = feedback(y, 1.0, 2.0)
         assert out == pytest.approx([0.0, 0.5, 0.4])
 
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.array, lambda v: np.array([v, 1.0])],
+                             ids=["float", "numpy-scalar", "0-d-array", "array"])
+    def test_scalar_and_array_inputs(self, wrap):
+        out = np.ravel(feedback(wrap(2.0), 1.0, 2.0))
+        assert out[0] == pytest.approx(0.4, rel=1e-15)
+        with pytest.raises(DomainError):
+            feedback(wrap(-1e-300), 1.0, 2.0)
+        assert math.isnan(np.ravel(feedback(wrap(math.nan), 1.0, 2.0))[0])  # NaN is no negative
+
 
 class TestRhs:
     def test_equilibrium_is_fixed_point(self, p3):
@@ -175,6 +185,13 @@ class TestB1:
         # (delta/(k-1)) (n delta/(beta0 (k-1)) - n + 1) = 2e300 * (-8e9) overflows
         with pytest.raises(ConditioningError):
             b1_value(1e10, 1e301, 1.5, 1e300)
+
+    def test_numpy_scalars_as_floats(self):
+        # beta0 (k-1)/delta overflows; numpy scalars must not warn where floats do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = b1_value(2, 1e300, np.float64(1.5), np.float64(1e-300))
+        assert type(got) is float and got == b1_value(2, 1e300, 1.5, 1e-300)
 
     def test_requires_positive_equilibrium(self):
         p = ModelParams(n=2, beta0=1.0, delta=1.0, k=1.5, r=1.0)

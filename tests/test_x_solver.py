@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,8 @@ class TestIntegrateX:
         assert x.shape == ref.shape
         assert np.all(np.abs(x - ref) <= 1e-11 * np.abs(ref))
 
-    def test_one_dense_output_read(self, p3, monkeypatch):
+    def test_no_dense_output_read(self, p3, monkeypatch):
+        # nodes and Simpson midpoints both come from slices of y's stored nodes
         y_traj = integrate_y(p3, eigenmode_history(p3, 0.4), 100.0)
         points = []
         original = Trajectory.value_at
@@ -114,7 +116,24 @@ class TestIntegrateX:
                             lambda self, t: points.append(np.size(t)) or original(self, t))
         integrate_x(p3, y_traj, 1.0)
         forcing_trace(p3, y_traj)
-        assert points == [y_traj.values.size - 1]  # the m + n step midpoints, once
+        assert points == []
+
+    def test_peak_memory_bounded(self, hopf_example):
+        # the README x-sim example on the benchmark's span: 40,000 steps, about
+        # 0.32 MB per node array; the dense-output read took 4.8 MB here
+        n, beta0, k, delta = hopf_example
+        params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        eq = positive_equilibrium(params)
+        y_traj = integrate_y(params, ConstantHistory(1.01 * eq.y_star), 225.0)
+        assert y_traj.values.size - 1 - y_traj.delay_steps == 40_000
+        integrate_x(params, y_traj, eq.x_star)
+        tracemalloc.start()
+        try:
+            integrate_x(params, y_traj, eq.x_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_step_not_dividing_delay_rejected(self, p3):
         eq = positive_equilibrium(p3)
