@@ -29,7 +29,6 @@ from .model import (
     feedback,
     gamma_of,
     positive_equilibrium,
-    rhs_x,
     rhs_y,
 )
 from .linear_analysis import (
@@ -60,7 +59,6 @@ from .dde_sim import (
     EigenmodeHistory,
     History,
     Trajectory,
-    derivative_series,
     eigenmode_history,
     integrate_y,
 )
@@ -73,7 +71,6 @@ from .x_solver import (
     integrate_x,
     periodic_response,
     periodic_x0,
-    resample_period,
 )
 from .explorer import (
     Criticality,

@@ -160,13 +160,14 @@ class Trajectory(History):
         return _hermite(self.values[idx], self.values[idx + 1], self.derivs[idx],
                         self.derivs[idx + 1], pos - idx, self.dt, order)
 
-    def _step_midpoints(self):
-        """value_at(t0 + dt*(i + 1/2)) for every step i, bit for bit while each
-        midpoint rounds into its own step (|t0|/dt << 2^50), from node slices."""
-        n, y, f = self.values.size - 1, self.values, self.derivs
-        t = self.t0 + self.dt * (np.arange(n) + 0.5)
-        out = _hermite(y[:-1], y[1:], f[:-1], f[1:],
-                       (t - self.t0) / self.dt - np.arange(n), self.dt, 0)
+    def _step_midpoints(self, lo=0, hi=None):
+        """value_at(t0 + dt*(i + 1/2)) for the steps lo <= i < hi (lo < hi; default:
+        all), bit for bit while each midpoint rounds into its own step (|t0|/dt <<
+        2^50), from node slices."""
+        hi, y, f = self.values.size - 1 if hi is None else hi, self.values, self.derivs
+        t = self.t0 + self.dt * (np.arange(lo, hi) + 0.5)
+        out = _hermite(y[lo:hi], y[lo + 1:hi + 1], f[lo:hi], f[lo + 1:hi + 1],
+                       (t - self.t0) / self.dt - np.arange(lo, hi), self.dt, 0)
         if self.history is not None and t[0] <= 0.0:
             p = int(np.searchsorted(t, 0.0, side="right"))
             out[:p] = self.history.value(t[:p])
@@ -260,8 +261,7 @@ def integrate_y(
     f[m] = rhs_y(y[m], y[0], params)
 
     bad = _kernels.rk4_delay(
-        y, f, hist_half, m, nsteps, dt,
-        float(params.n), params.beta0, params.delta, params.k,
+        y, f, hist_half, m, nsteps, dt, params.n, params.beta0, params.delta, params.k,
     )
     if bad >= 0:
         raise IntegrationError(
@@ -288,8 +288,3 @@ def eigenmode_history(params: ModelParams, c: float) -> History:
     if lead.im == 0.0:
         raise PreconditionError("leading characteristic root is real: eigenmode family undefined")
     return EigenmodeHistory(y_base=eq.y_star, c=c, mu=lead.re, omega=lead.im)
-
-
-def derivative_series(traj: Trajectory):
-    """(t, dy/dt) on the stored grid: the trajectory's phase-portrait export."""
-    return traj.times, traj.derivs.copy()

@@ -46,7 +46,7 @@ def gamma_of(k: float, r: float) -> float:
 def hill_pow(y, n: float):
     """y**n for y > 0 and 0 otherwise (NaN too), the RK4 kernel's clamped power;
     a scalar gives a Python float, inf where the power overflows."""
-    if np.ndim(y):
+    if not np.isscalar(y) and np.ndim(y):
         return np.fmax(y, 0.0) ** n
     try:
         return float(y) ** n if y > 0.0 else 0.0
@@ -58,8 +58,9 @@ def hill_pow(y, n: float):
 class ModelParams:
     """Validated parameter set of the model.
 
-    gamma is never free: it is derived from (k, r) through k = 2 e^(-gamma r)
-    at construction and satisfies the relation to machine precision.
+    Every field is stored as a Python float. gamma is never free: it is
+    derived from (k, r) through k = 2 e^(-gamma r) at construction and
+    satisfies the relation to machine precision.
     """
 
     n: float
@@ -70,6 +71,8 @@ class ModelParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("n", "beta0", "delta", "k", "r"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         check_rates(self.n, self.beta0, self.delta, self.k)
         object.__setattr__(self, "gamma", gamma_of(self.k, self.r))
 
@@ -115,11 +118,6 @@ def rhs_y(y_now, y_delayed, params: ModelParams):
     """Right-hand side of the resting-cell equation."""
     loss = (params.beta0 / (1.0 + hill_pow(y_now, params.n)) + params.delta) * y_now
     return -loss + params.k * feedback(y_delayed, params.beta0, params.n)
-
-
-def rhs_x(x_now, y_now, y_delayed, params: ModelParams):
-    """Right-hand side of the proliferating-cell equation (forced, linear in x)."""
-    return -params.gamma * x_now + forcing(y_now, y_delayed, params)
 
 
 def forcing(y_now, y_delayed, params: ModelParams):

@@ -1,8 +1,8 @@
 """The forced linear proliferating-cell equation, solved on top of a y trajectory.
 
-x obeys x'(t) = -gamma x(t) + F(t) with F(t) = feedback(y(t)) - (k/2)
-feedback(y(t-r)), so each step is propagated by the exact
-variation-of-constants formula
+x obeys x'(t) = -gamma x(t) + F(t) with F(t) = g(y(t)) - (k/2) g(y(t-r)),
+where g is the re-entry flux feedback, so each step is propagated by the
+exact variation-of-constants formula
 
     x(t+dt) = e^(-gamma dt) x(t) + int_t^{t+dt} e^(gamma (s-t-dt)) F(s) ds,
 
@@ -14,11 +14,18 @@ nodes; there is no dense-output read. The homogeneous part is
 exact, which makes the convergence-transfer statement about this formula
 directly testable, and removes any stability constraint from gamma.
 
-Over a T-periodic y cycle the periodic x orbit is a closed form in Fourier
-space: with omega = 2 pi/T, the delay is the phase shift Y_j e^(-i j omega r)
-and the orbit's modes are X_j = H_j/(gamma + i j omega). Both periodic
-functions read one sampled period: >= 8 points on a uniform grid (to 1e-9 T)
-whose endpoint values agree to 1e-6; anything else is a PreconditionError.
+Because k/2 = e^(-gamma r), the equation integrates in closed form:
+
+    x(t) = I(t) + (x(0) - I(0)) e^(-gamma t),
+    I(t) = int_{t-r}^{t} e^(-gamma (t-s)) g(y(s)) ds,
+
+so x counts the cells that entered proliferation in the last r time units
+and survived. periodic_x0 evaluates I at a node by the same Simpson step over
+one delay window; x(0) = I(0) gives the x orbit that is periodic whenever y
+is, with no period to find. periodic_response, the fixed point of a
+T-periodic linear response, reads one sampled period: >= 8 points on a
+uniform grid (to 1e-9 T) whose endpoint values agree to 1e-6; anything else
+is a PreconditionError.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
-from .model import (Equilibrium, EquilibriumKind, ModelParams, feedback, flux_forcing, forcing,
+from .model import (Equilibrium, EquilibriumKind, ModelParams, feedback, flux_forcing,
                     positive_equilibrium)
 from .dde_sim import Trajectory
 
@@ -46,7 +53,7 @@ class ForcingTrace:
 
 @dataclass(frozen=True)
 class PeriodicInit:
-    """Initial value whose x orbit is periodic, plus the amplification factor
+    """Initial value of the periodic response, plus the amplification factor
     1/(1 - e^(-gamma T)) of the defining integral."""
 
     x0: float
@@ -60,11 +67,31 @@ class ConvergenceReport:
     window_sups: tuple[float, float]
 
 
+def _clamped_flux(params: ModelParams, y: np.ndarray) -> np.ndarray:
+    # stored or interpolated y may dip just below 0, where the flux is undefined
+    return feedback(np.maximum(y, 0.0), params.beta0, params.n)
+
+
 def _clamped_forcing(params: ModelParams, y: np.ndarray, m: int) -> np.ndarray:
-    # forcing(y[m:], y[:-m]) from one Hill-flux pass (forcing is elementwise); stored
-    # or interpolated y may dip just below 0, where the flux is undefined
-    flux = feedback(np.maximum(y, 0.0), params.beta0, params.n)
+    # forcing(y[m:], y[:-m]) from one Hill-flux pass (forcing is elementwise)
+    flux = _clamped_flux(params, y)
     return flux_forcing(flux[m:], flux[:-m], params)
+
+
+def _exp_simpson(gamma, dt, f_nodes, f_half, u0, t_start):
+    """u on the nodes of u' = -gamma u + f from u(t_start) = u0: the exact
+    one-step recursion with Simpson's rule under the exponential weight, from
+    f at the nodes and step midpoints; IntegrationError if u goes non-finite."""
+    decay = math.exp(-gamma * dt)
+    decay_half = math.exp(-0.5 * gamma * dt)
+    incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
+    u = np.empty(f_nodes.size)
+    u[0] = u0
+    bad = _kernels.exp_scan(u, incr, decay)
+    if bad >= 0:
+        raise IntegrationError("x integration produced a non-finite value",
+                               last_valid_time=t_start + dt * bad)
+    return u
 
 
 def _delay_steps(params: ModelParams, y_traj: Trajectory) -> int:
@@ -106,34 +133,9 @@ def integrate_x(params: ModelParams, y_traj: Trajectory, x0: float) -> Trajector
     m, dt = _delay_steps(params, y_traj), y_traj.dt
     f_half = _clamped_forcing(params, y_traj._step_midpoints(), m)
     f_nodes = _clamped_forcing(params, y_traj.values, m)
-
-    decay = math.exp(-params.gamma * dt)
-    decay_half = math.exp(-0.5 * params.gamma * dt)
-    incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
-
-    x = np.empty(f_nodes.size)
-    x[0] = x0
-    bad = _kernels.exp_scan(x, incr, decay)
-    if bad >= 0:
-        raise IntegrationError(
-            "x integration produced a non-finite value", last_valid_time=dt * bad
-        )
+    x = _exp_simpson(params.gamma, dt, f_nodes, f_half, x0, 0.0)
     xdot = -params.gamma * x + f_nodes
     return Trajectory(t0=0.0, dt=dt, values=x, derivs=xdot)
-
-
-def _one_period(times, values):
-    """Period T and the open samples values[:-1] under the one-period contract."""
-    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.size < 8 or values.shape != times.shape:
-        raise PreconditionError("need a dense one-period sample (>= 8 points, one value each)")
-    period = times[-1] - times[0]
-    if not (period > 0.0 and np.ptp(np.diff(times)) <= 1e-9 * period):
-        raise PreconditionError("one-period sample must lie on a uniform increasing grid")
-    mismatch = abs(values[0] - values[-1])
-    if not mismatch < 1e-6:
-        raise PreconditionError(f"trajectory is not periodic: endpoint mismatch {mismatch:.3g}")
-    return period, values[:-1]
 
 
 def periodic_response(gamma: float, times: np.ndarray, h_values: np.ndarray) -> PeriodicInit:
@@ -143,39 +145,42 @@ def periodic_response(gamma: float, times: np.ndarray, h_values: np.ndarray) -> 
     H_j of one sampled period of H (the module's one-period contract), with
     the amplification factor 1/(1 - e^(-gamma T)) of the period map.
     """
-    period, h = _one_period(times, h_values)
+    times, h = np.asarray(times, dtype=float), np.asarray(h_values, dtype=float)
+    if times.ndim != 1 or times.size < 8 or h.shape != times.shape:
+        raise PreconditionError("need a dense one-period sample (>= 8 points, one value each)")
+    period = times[-1] - times[0]
+    if not (period > 0.0 and np.ptp(np.diff(times)) <= 1e-9 * period):
+        raise PreconditionError("one-period sample must lie on a uniform increasing grid")
+    mismatch = abs(h[0] - h[-1])
+    if not mismatch < 1e-6:
+        raise PreconditionError(f"trajectory is not periodic: endpoint mismatch {mismatch:.3g}")
     denom = -math.expm1(-gamma * period)
     if denom < 1e-12:
         raise ConditioningError(
             f"1 - e^(-gamma T) = {denom:.3g} is too small for a reliable fixed point"
         )
+    h = h[:-1]
     modes = np.fft.rfft(h) / (gamma + 2j * math.pi / period * np.arange(h.size // 2 + 1))
     return PeriodicInit(x0=float(np.fft.irfft(modes, h.size)[0]), condition=1.0 / denom)
 
 
-def periodic_x0(params: ModelParams, times: np.ndarray, values: np.ndarray) -> PeriodicInit:
-    """Initial value that makes the x orbit periodic over a periodic y cycle.
+def periodic_x0(params: ModelParams, y_traj: Trajectory, t0: float) -> float:
+    """I(t0) = int_{t0-r}^{t0} e^(-gamma (t0-s)) g(y(s)) ds at a stored node t0 >= 0.
 
-    `times`/`values` sample one period [t0, t0 + T] of y (the module's
-    one-period contract); y(t - r) is the phase shift Y_j e^(-i j omega r).
+    x(t) - I(t) decays as e^(-gamma t), so x(t0) = I(t0) puts x on the orbit
+    that I traces, periodic whenever y is. The integral is integrate_x's
+    Simpson step over the window's m + 1 nodes and m midpoints; y_traj must
+    satisfy integrate_x's grid precondition and t0 must be one of its nodes
+    in [0, t_end] (to 1e-6 of a step), else PreconditionError.
     """
-    period, y = _one_period(times, values)
-    shift = np.exp(-2j * math.pi * params.r / period * np.arange(y.size // 2 + 1))
-    y_delayed = np.fft.irfft(np.fft.rfft(y) * shift, y.size)
-    eq = positive_equilibrium(params)
-    h = forcing(np.maximum(y, 0.0), np.maximum(y_delayed, 0.0), params) - params.gamma * eq.x_star
-    base = periodic_response(params.gamma, times, np.append(h, h[0]))
-    return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
-
-
-def resample_period(traj: Trajectory, t_start: float, period: float, samples: int = 2048):
-    """One-period slice of a trajectory on a uniform grid (for periodic_x0)."""
-    if samples < 8:
-        raise DomainError("samples must be >= 8")
-    t = np.linspace(t_start, t_start + period, samples + 1)
-    if t[-1] > traj.t_end + 1e-9:
-        raise PreconditionError("trajectory too short for the requested period slice")
-    return t, traj.value_at(t)
+    m, dt = _delay_steps(params, y_traj), y_traj.dt
+    pos = (t0 - y_traj.t0) / dt
+    j = round(pos) if math.isfinite(pos) else -1
+    if not (m <= j < y_traj.values.size and abs(pos - j) <= 1e-6):
+        raise PreconditionError(f"t0 = {t0} is not a node of the y trajectory in [0, t_end]")
+    g_nodes = _clamped_flux(params, y_traj.values[j - m:j + 1])
+    g_half = _clamped_flux(params, y_traj._step_midpoints(j - m, j))
+    return float(_exp_simpson(params.gamma, dt, g_nodes, g_half, 0.0, t0 - params.r)[-1])
 
 
 def convergence_check(

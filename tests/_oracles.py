@@ -8,11 +8,12 @@ scipy's Wright omega on numpy arrays, the kernel references are plain
 numpy-scalar loops with the compiled kernels' contracts, scipy.signal's
 lfilter and find_peaks pin the x recursion and the peak picking bit for bit
 (imported inside the two functions, since the benchmark's ensemble check
-imports this module and must not load scipy.signal), and the periodic x
-orbit reference wraps the delay through a periodic cubic spline and weights
-Simpson's rule by the exact exponential, and the x reference re-interpolates y
-through the dense output at every node and midpoint instead of reading the
-stored nodes.
+imports this module and must not load scipy.signal), the periodic x orbit
+has two references over one sampled y period (one wraps the delay through a
+periodic cubic spline and weights Simpson's rule by the exact exponential,
+the other shifts the delay in Fourier space), and the x reference
+re-interpolates y through the dense output at every node and midpoint
+instead of reading the stored nodes.
 """
 
 import math
@@ -30,6 +31,7 @@ from cmldde import (
     PeriodicInit,
     PreconditionError,
     b1_coefficient,
+    periodic_response,
     positive_equilibrium,
     rhs_y,
 )
@@ -281,6 +283,20 @@ def periodic_x0_reference(params, times, values):
     clamp = lambda v: np.maximum(v, 0.0)
     h = forcing(clamp(values), clamp(spline(delayed)), params) - params.gamma * eq.x_star
     base = periodic_response_reference(params.gamma, times, h)
+    return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
+
+
+def periodic_x0_fourier(params, times, values):
+    """Periodic x initial value over one sampled y period [t0, t0 + T] in
+    Fourier space: y(t - r) is the phase shift Y_j e^(-i j omega r), and the
+    offset from x2 is periodic_response of the forcing minus its x2 level."""
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    period, y = times[-1] - times[0], values[:-1]
+    shift = np.exp(-2j * math.pi * params.r / period * np.arange(y.size // 2 + 1))
+    y_delayed = np.fft.irfft(np.fft.rfft(y) * shift, y.size)
+    eq = positive_equilibrium(params)
+    h = forcing(np.maximum(y, 0.0), np.maximum(y_delayed, 0.0), params) - params.gamma * eq.x_star
+    base = periodic_response(params.gamma, times, np.append(h, h[0]))
     return PeriodicInit(x0=eq.x_star + base.x0, condition=base.condition)
 
 

@@ -14,7 +14,6 @@ from cmldde import (
     ModelParams,
     PreconditionError,
     Trajectory,
-    derivative_series,
     eigenmode_history,
     integrate_y,
     leading_roots,
@@ -323,6 +322,15 @@ class TestNodeViews:
         want = traj.value_at(t0 + dt * (np.arange(size - 1) + 0.5))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(t0=st.floats(-1e3, 1e3), dt=st.floats(1e-4, 10.0), size=st.integers(2, 300),
+           with_history=st.booleans(), data=st.data())
+    def test_step_midpoint_ranges_are_slices(self, t0, dt, size, with_history, data):
+        traj = self._trajectory(t0, dt, size, 0, with_history)
+        lo = data.draw(st.integers(0, size - 2))
+        hi = data.draw(st.integers(lo + 1, size - 1))
+        assert traj._step_midpoints(lo, hi).tobytes() == traj._step_midpoints()[lo:hi].tobytes()
+
     @settings(max_examples=600, deadline=None)
     @given(t0=st.floats(-1e3, 1e3), dt=st.floats(1e-4, 10.0), size=st.integers(2, 300),
            data=st.data())
@@ -377,16 +385,17 @@ class TestEigenmodeConstruction:
 
 
 class TestDerivativeSeries:
+    """The phase-portrait series (traj.times, traj.derivs)."""
+
     def test_equilibrium_derivatives_vanish(self, p3):
         eq = positive_equilibrium(p3)
         traj = integrate_y(p3, ConstantHistory(eq.y_star), 50.0)
-        _, d = derivative_series(traj)
-        assert np.abs(d).max() < 1e-10
+        assert np.abs(traj.derivs).max() < 1e-10
 
     def test_history_segment_is_analytic(self, p3):
         hist = eigenmode_history(p3, 0.3)
         traj = integrate_y(p3, hist, 20.0)
-        t, d = derivative_series(traj)
+        t, d = traj.times, traj.derivs
         past = t < 0.0
         assert d[past] == pytest.approx(hist.derivative(t[past]), abs=1e-12)
 
@@ -395,5 +404,4 @@ class TestDerivativeSeries:
         p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
         y2 = positive_equilibrium(p).y_star
         traj = integrate_y(p, ConstantHistory(1.01 * y2), 300.0)
-        _, d = derivative_series(traj)
-        assert np.abs(d).max() > 0.0
+        assert np.abs(traj.derivs).max() > 0.0

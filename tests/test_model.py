@@ -16,10 +16,9 @@ from cmldde import (
     feedback,
     gamma_of,
     positive_equilibrium,
-    rhs_x,
     rhs_y,
 )
-from cmldde.model import hill_pow
+from cmldde.model import forcing, hill_pow
 from conftest import sample_params
 
 
@@ -47,6 +46,17 @@ class TestGammaOf:
             assert 2.0 * math.exp(-gamma_of(k, r) * r) == pytest.approx(k, rel=1e-14)
 
 
+class TestModelParams:
+    def test_numpy_scalars_as_floats(self):
+        # beta0 (k-1)/delta overflows; numpy scalars must not warn where floats do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ModelParams(n=2.0, beta0=np.float64(1e300), delta=np.float64(1e-300),
+                            k=1.5, r=1.0)
+            assert p.has_positive_equilibrium
+        assert all(type(getattr(p, f)) is float for f in ("n", "beta0", "delta", "k", "r"))
+
+
 class TestHillPow:
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 7.3, 12.0])
     def test_matches_power_on_positive_values(self, n):
@@ -68,6 +78,16 @@ class TestHillPow:
 
     def test_scalar_overflow_is_inf(self):
         assert hill_pow(1e200, 2.0) == math.inf
+
+    def test_scalars_skip_array_dispatch(self, monkeypatch):
+        # np.ndim turns a float into a 0-d array first: most of a scalar call's cost
+        def no_ndim(_):
+            raise AssertionError("np.ndim called on a scalar")
+
+        monkeypatch.setattr(np, "ndim", no_ndim)
+        assert hill_pow(2.0, 3.0) == 8.0 and type(hill_pow(2.0, 3.0)) is float
+        assert hill_pow(np.float64(2.0), 3.0) == 8.0
+        assert type(hill_pow(np.float64(2.0), 3.0)) is float
 
 
 class TestFeedback:
@@ -104,14 +124,16 @@ class TestFeedback:
 
 
 class TestRhs:
+    """rhs_y, and the x right-hand side forcing(y, y_r) - gamma x."""
+
     def test_equilibrium_is_fixed_point(self, p3):
         eq = positive_equilibrium(p3)
         assert abs(rhs_y(eq.y_star, eq.y_star, p3)) < 1e-12
-        assert abs(rhs_x(eq.x_star, eq.y_star, eq.y_star, p3)) < 1e-12
+        assert abs(forcing(eq.y_star, eq.y_star, p3) - p3.gamma * eq.x_star) < 1e-12
 
     def test_origin(self, p3):
         assert rhs_y(0.0, 0.0, p3) == 0.0
-        assert rhs_x(0.0, 0.0, 0.0, p3) == 0.0
+        assert forcing(0.0, 0.0, p3) - p3.gamma * 0.0 == 0.0
 
     def test_rhs_y_pure_delayed_drive(self, p3):
         # y_now = 0 kills the loss term; remaining drive is k beta0 / 2 at y_delayed = 1
@@ -121,7 +143,7 @@ class TestRhs:
     def test_rhs_x_at_zero_x(self, p3):
         eq = positive_equilibrium(p3)
         expected = (1.0 - p3.k / 2.0) * feedback(eq.y_star, p3.beta0, p3.n)
-        got = rhs_x(0.0, eq.y_star, eq.y_star, p3)
+        got = forcing(eq.y_star, eq.y_star, p3) - p3.gamma * 0.0
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(p3.gamma * eq.x_star, rel=1e-12)
 
@@ -215,7 +237,7 @@ class TestProperties:
             p = sample_params(rng)
             eq = positive_equilibrium(p)
             assert abs(rhs_y(eq.y_star, eq.y_star, p)) < 1e-12
-            assert abs(rhs_x(eq.x_star, eq.y_star, eq.y_star, p)) < 1e-12
+            assert abs(forcing(eq.y_star, eq.y_star, p) - p.gamma * eq.x_star) < 1e-12
 
     def test_defining_relation(self):
         rng = np.random.default_rng(4)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import cmldde
@@ -26,12 +27,12 @@ from cmldde import (
     periodic_response,
     periodic_x0,
     positive_equilibrium,
-    resample_period,
 )
 from cmldde.explorer import cycle_estimate, refine_period
 from cmldde.model import forcing
+from cmldde.x_solver import _exp_simpson
 from conftest import sample_params
-from _oracles import integrate_x_reference, periodic_x0_reference
+from _oracles import integrate_x_reference, periodic_x0_fourier, periodic_x0_reference
 
 
 def synthetic_trajectory(fn, dfn, t0, t_end, dt):
@@ -195,17 +196,13 @@ class TestPeriodicResponse:
 
 class TestPeriodicX0:
     def test_zero_offset_forcing(self, p3):
-        # y pinned at the equilibrium makes H vanish identically
+        # y pinned at the equilibrium makes H vanish identically; the window
+        # integral carries integrate_x's Simpson error, 5e-14 at r/256
         eq = positive_equilibrium(p3)
-        t = np.linspace(0.0, 30.0, 512)
-        init = periodic_x0(p3, t, np.full_like(t, eq.y_star))
-        assert init.x0 == pytest.approx(eq.x_star, abs=1e-12)
-
-    def test_endpoint_mismatch_rejected(self, p3):
-        t = np.linspace(0.0, 30.0, 512)
-        y = positive_equilibrium(p3).y_star + 0.01 * t / 30.0
-        with pytest.raises(PreconditionError):
-            periodic_x0(p3, t, y)
+        y_traj = integrate_y(p3, ConstantHistory(eq.y_star), 30.0, dt=p3.r / 256)
+        x0 = periodic_x0(p3, y_traj, 0.0)
+        assert x0 == pytest.approx(eq.x_star, abs=1e-12)
+        assert np.all(integrate_x(p3, y_traj, x0).values == x0)
 
     def test_periodicity_of_resulting_orbit(self, p3):
         # exactly periodic synthetic y: the x orbit from x0 must return to x0
@@ -216,15 +213,14 @@ class TestPeriodicX0:
         fn = lambda t: eq.y_star + 0.3 * np.sin(W * t)
         dfn = lambda t: 0.3 * W * np.cos(W * t)
         y_traj = synthetic_trajectory(fn, dfn, -p3.r, 2.0 * T, dt)
-        ts = np.linspace(0.0, T, 2049)
-        init = periodic_x0(p3, ts, fn(ts))
-        x_traj = integrate_x(p3, y_traj, init.x0)
-        assert abs(x_traj.value_at(T) - init.x0) < 1e-7
-        assert abs(x_traj.value_at(2.0 * T) - init.x0) < 1e-7
+        x0 = periodic_x0(p3, y_traj, 0.0)
+        x_traj = integrate_x(p3, y_traj, x0)
+        assert abs(x_traj.value_at(T) - x0) < 1e-7
+        assert abs(x_traj.value_at(2.0 * T) - x0) < 1e-7
 
     def test_simulated_cycle_pipeline(self, p3):
         # extract the attracting cycle, refine its period, and compare the
-        # fixed-point initial value with the converged x orbit itself
+        # window integral at an anchor with the converged x orbit itself
         eq = positive_equilibrium(p3)
         y_traj = integrate_y(p3, eigenmode_history(p3, 0.55), 150000.0)
         est = cycle_estimate(y_traj, 100000.0)
@@ -233,16 +229,81 @@ class TestPeriodicX0:
         anchor = tw[np.argmax(np.abs(y_traj.derivative_at(tw)))]
         period = refine_period(y_traj, anchor, est.period)
         assert abs(y_traj.value_at(anchor + period) - y_traj.value_at(anchor)) < 1e-6
-        ts, ys = resample_period(y_traj, anchor, period, 4096)
-        init = periodic_x0(p3, ts, ys)
         x_traj = integrate_x(p3, y_traj, eq.x_star)
-        assert abs(x_traj.value_at(anchor) - init.x0) < 1e-6
+        assert abs(x_traj.value_at(anchor) - periodic_x0(p3, y_traj, anchor)) < 1e-6
+
+    def test_off_grid_or_out_of_span_rejected(self, p3):
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.4), 50.0)
+        dt = y_traj.dt
+        for t0 in (0.5 * dt, 10.0 + 0.3 * dt, -dt, -p3.r, y_traj.t_end + dt, math.nan):
+            with pytest.raises(PreconditionError, match="not a node"):
+                periodic_x0(p3, y_traj, t0)
+        periodic_x0(p3, y_traj, y_traj.t_end)  # the last node is a valid anchor
+        other = ModelParams(n=p3.n, beta0=p3.beta0, delta=p3.delta, k=p3.k, r=1.01 * p3.r)
+        with pytest.raises(PreconditionError, match="start at -r"):
+            periodic_x0(other, y_traj, 0.0)
+
+
+class TestWindowIntegralProperties:
+    """periodic_x0's I(t0) = int_{t0-r}^{t0} e^(-gamma (t0-s)) g(y(s)) ds on a
+    synthetic positive y = y2 (1 + a sin(W t + phi)) that repeats every
+    `period` steps, over the sample_params distribution at m steps per delay."""
+
+    m = 64
+
+    @classmethod
+    def _case(cls, seed, period, a, phi):
+        p = sample_params(np.random.default_rng(seed))
+        y2, dt = positive_equilibrium(p).y_star, p.r / cls.m
+        W = 2.0 * math.pi / (period * dt)
+        fn = lambda t: y2 * (1.0 + a * np.sin(W * t + phi))
+        dfn = lambda t: y2 * a * W * np.cos(W * t + phi)
+        return p, synthetic_trajectory(fn, dfn, -p.r, 2 * period * dt, dt)
+
+    cases = dict(seed=st.integers(0, 2**32 - 1), period=st.integers(8, 600),
+                 a=st.floats(0.0, 0.9), phi=st.floats(0.0, 2.0 * math.pi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**cases)
+    def test_positive_and_below_flux_bound(self, seed, period, a, phi):
+        # every weight is positive, so 0 < I <= max g times the quadrature of 1;
+        # max g = beta0 (n-1)^(1-1/n)/n (the n = 1 supremum beta0 included)
+        p, y_traj = self._case(seed, period, a, phi)
+        m = self.m
+        ones = _exp_simpson(p.gamma, y_traj.dt, np.ones(m + 1), np.ones(m), 0.0, 0.0)[-1]
+        assert ones == pytest.approx(-math.expm1(-p.gamma * p.r) / p.gamma, rel=1e-9)
+        g_max = p.beta0 * (p.n - 1.0) ** (1.0 - 1.0 / p.n) / p.n
+        for t0 in y_traj.times[m::max(1, period // 4)]:
+            i = periodic_x0(p, y_traj, t0)
+            assert 0.0 < i <= g_max * ones * (1.0 + 1e-12)  # rounding of the two sums
+
+    @settings(max_examples=60, deadline=None)
+    @given(offset=st.floats(-2.0, 2.0), **cases)
+    def test_x_minus_window_integral_decays_exactly(self, seed, period, a, phi, offset):
+        p, y_traj = self._case(seed, period, a, phi)
+        i0 = periodic_x0(p, y_traj, 0.0)
+        x0 = i0 + offset * max(1.0, i0)
+        x_traj = integrate_x(p, y_traj, x0)
+        for j in np.linspace(0, x_traj.values.size - 1, 9).astype(int):
+            t, x = x_traj.times[j], x_traj.values[j]
+            expected = (x0 - i0) * math.exp(-p.gamma * t)
+            assert abs(x - periodic_x0(p, y_traj, t) - expected) <= 1e-10 * max(1.0, abs(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**cases)
+    def test_orbit_from_window_integral_is_periodic(self, seed, period, a, phi):
+        p, y_traj = self._case(seed, period, a, phi)
+        x0 = periodic_x0(p, y_traj, 0.0)
+        x = integrate_x(p, y_traj, x0).values
+        assert x[period] == pytest.approx(x0, rel=1e-9)
+        assert x[2 * period] == pytest.approx(x0, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
 def worked_cycle(hopf_example):
     """The r = 0.36 worked example settled on its cycle: params, y and x
-    trajectories, and one period of y from a steep anchor in 256 samples."""
+    trajectories, a steep anchor node, and one period of y from the anchor in
+    256 samples (the oracles' input)."""
     n, beta0, k, delta = hopf_example
     p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
     eq = positive_equilibrium(p)
@@ -251,29 +312,28 @@ def worked_cycle(hopf_example):
     assert est.steady
     tw, _ = y_traj.window(1000.0 - 3.0 * est.period, 1000.0 - 2.0 * est.period)
     anchor = tw[np.argmax(np.abs(y_traj.derivative_at(tw)))]
-    ts, ys = resample_period(y_traj, anchor, refine_period(y_traj, anchor, est.period), 256)
-    return p, integrate_x(p, y_traj, eq.x_star), anchor, ts, ys
+    ts = np.linspace(anchor, anchor + refine_period(y_traj, anchor, est.period), 257)
+    return p, y_traj, integrate_x(p, y_traj, eq.x_star), anchor, ts, y_traj.value_at(ts)
 
 
 class TestPeriodicX0Fourier:
     def test_worked_example_cycle(self, worked_cycle):
         # the x orbit started at x2 has converged by the anchor (gamma = 1.46);
-        # the spline-and-Simpson reference is off by 4.9e-10 at 256 samples
-        p, x_traj, anchor, ts, ys = worked_cycle
-        assert abs(periodic_x0(p, ts, ys).x0 - x_traj.value_at(anchor)) < 1e-12
+        # the Fourier oracle over one refined period agrees to 3.4e-15
+        p, y_traj, x_traj, anchor, ts, ys = worked_cycle
+        got = periodic_x0(p, y_traj, anchor)
+        assert abs(got - x_traj.value_at(anchor)) < 1e-12
+        assert abs(got - periodic_x0_fourier(p, ts, ys).x0) < 1e-12
 
     def test_matches_spline_reference(self, worked_cycle):
-        p, _, _, ts, ys = worked_cycle
-        got, ref = periodic_x0(p, ts, ys), periodic_x0_reference(p, ts, ys)
-        assert abs(got.x0 - ref.x0) < 1e-9
-        assert got.condition == ref.condition
+        # the spline-and-Simpson reference is off by 4.9e-10 at 256 samples
+        p, y_traj, _, anchor, ts, ys = worked_cycle
+        assert abs(periodic_x0(p, y_traj, anchor) - periodic_x0_reference(p, ts, ys).x0) < 1e-9
 
     def test_non_uniform_grid_rejected(self, p3):
         eq = positive_equilibrium(p3)
         t = 30.0 * np.linspace(0.0, 1.0, 512) ** 1.01
         y = eq.y_star + 0.1 * np.sin(2.0 * math.pi * t / 30.0)
-        with pytest.raises(PreconditionError, match="uniform"):
-            periodic_x0(p3, t, y)
         with pytest.raises(PreconditionError, match="uniform"):
             periodic_response(p3.gamma, t, y)
 
