@@ -2,12 +2,13 @@
 
 The RK4 kernel for y steps one delay interval at a time and holds the
 delayed flux at the previous interval's nodes and half-nodes in two rings,
-so each Hill power is computed once per node and half-node. The x kernel is
-the recursion x[i+1] = decay * x[i] + incr[i]. Without numba both run as
-plain Python on float scalars; that path alone meets the acceptance time
-budgets. numba, when installed, is an optional accelerator that compiles the
-same sources on arrays. The numba path has never been run, and neither has
-.github/workflows/tests.yml.
+so each Hill power is computed once per node and half-node; it stores nodes
+a block of whole delay intervals at a time and checks finiteness once per
+block. The x kernel is the recursion x[i+1] = decay * x[i] + incr[i].
+Without numba both run as plain Python on float scalars; that path alone
+meets the acceptance time budgets. numba, when installed, is an optional
+accelerator that compiles the same sources on arrays. The numba path has
+never been run, and neither has .github/workflows/tests.yml.
 """
 
 from __future__ import annotations
@@ -23,9 +24,14 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     USING_NUMBA = False
 
+#: fewest steps in a block of whole delay intervals that the RK4 kernel stores at once
+BLOCK_STEPS = 64
+# a Python float power raises OverflowError (numba gives inf, catches only Exception)
+_OVERFLOW = Exception if USING_NUMBA else OverflowError
 
-def _rk4_delay_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
-    # Classical RK4 on y'(t) = -(beta0/(1+y^n) + delta) y + k beta0 yd/(1+yd^n)
+
+def _rk4_delay_impl(y, f, hist_half, g, gh, ybuf, fbuf, m, nsteps, dt, n, beta0, delta, k):
+    # Classical RK4 on y'(t) = k beta0 yd/(1+yd^n) - (beta0/(1+y^n) + delta) y
     # by the method of steps: dt divides the delay exactly (m steps per delay),
     # so derivative-jump points land on nodes. y, f have length m + nsteps + 1;
     # 0..m hold the history. Step s of a delay interval reads rings g[s], gh[s],
@@ -34,37 +40,58 @@ def _rk4_delay_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
     # overwrites them from the node and half-node it makes, one power each; the
     # node's power also gives its f node, the next step's k1. Hill powers v^n
     # take the v <= 0 limit as 0, which keeps the flux linear across a
-    # microscopic negative overshoot instead of going complex. Returns the index
-    # of the last finite node, or -1. An overflowing half-node power (Python
-    # floats raise) is charged to the step that makes it, m steps before use.
-    half, kb = 0.5 * dt, k * beta0
-    for s in range(m):
-        v, vh = y[s + 1], hist_half[s]
-        g[s] = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
-        gh[s] = kb * vh / (1.0 + (vh ** n if vh > 0.0 else 0.0))
-    yj, fj, v = y[m], f[m], y[0]
-    fb0 = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
-    k1 = -(beta0 / (1.0 + (yj ** n if yj > 0.0 else 0.0)) + delta) * yj + fb0
-    for start in range(m, m + nsteps, m):
-        for j in range(start, min(start + m, m + nsteps)):
-            s = j - start
-            ya = yj + half * k1
-            k2 = -(beta0 / (1.0 + (ya ** n if ya > 0.0 else 0.0)) + delta) * ya + gh[s]
-            yb = yj + half * k2
-            k3 = -(beta0 / (1.0 + (yb ** n if yb > 0.0 else 0.0)) + delta) * yb + gh[s]
-            yc = yj + dt * k3
-            k4 = -(beta0 / (1.0 + (yc ** n if yc > 0.0 else 0.0)) + delta) * yc + g[s]
-            ynew = yj + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-            if not math.isfinite(ynew):
-                return j
-            p = ynew ** n if ynew > 0.0 else 0.0
-            k1 = -(beta0 / (1.0 + p) + delta) * ynew + g[s]
-            dh = 0.5 * (yj + ynew) + 0.125 * dt * (fj - k1)
-            gh[s] = kb * dh / (1.0 + (dh ** n if dh > 0.0 else 0.0))
-            g[s] = kb * ynew / (1.0 + p)
-            y[j + 1] = yj = ynew
-            f[j + 1] = fj = k1
-    return -1
+    # microscopic negative overshoot instead of going complex. A block of
+    # len(ybuf) steps collects in ybuf, fbuf, then goes to y, f in one slice
+    # store each. NaN and inf pass through every stage, so a finite last node
+    # clears its block. Returns the index of the last finite node, or -1. A
+    # raising power (never after a non-finite node) is charged to its step with
+    # the earlier nodes stored: a half-node's to the step that makes it, m
+    # steps before use; a history node's to the first step. Same bits as the
+    # plain spelling: g - a*y is -(a)*y + g, as IEEE 754 negation is exact, and
+    # one read per ring slot and one 0.125*dt and 1 + y^n change no operation.
+    half, eighth, kb = 0.5 * dt, 0.125 * dt, k * beta0
+    end, b0, o, s = m + nsteps, m, 0, 0  # b0 + o + s: the step in progress
+    try:
+        for q in range(m):
+            v, vh = float(y[q + 1]), float(hist_half[q])
+            g[q] = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
+            gh[q] = kb * vh / (1.0 + (vh ** n if vh > 0.0 else 0.0))
+        yj, fj, v = float(y[m]), float(f[m]), float(y[0])
+        fb0 = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
+        k1 = fb0 - (beta0 / (1.0 + (yj ** n if yj > 0.0 else 0.0)) + delta) * yj
+        for b0 in range(m, end, len(ybuf)):
+            b1 = min(b0 + len(ybuf), end)
+            for o in range(0, b1 - b0, m):
+                for s in range(min(m, b1 - b0 - o)):
+                    gs, ghs = g[s], gh[s]
+                    ya = yj + half * k1
+                    k2 = ghs - (beta0 / (1.0 + (ya ** n if ya > 0.0 else 0.0)) + delta) * ya
+                    yb = yj + half * k2
+                    k3 = ghs - (beta0 / (1.0 + (yb ** n if yb > 0.0 else 0.0)) + delta) * yb
+                    yc = yj + dt * k3
+                    k4 = gs - (beta0 / (1.0 + (yc ** n if yc > 0.0 else 0.0)) + delta) * yc
+                    ynew = yj + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+                    den = 1.0 + (ynew ** n if ynew > 0.0 else 0.0)
+                    k1 = gs - (beta0 / den + delta) * ynew
+                    dh = 0.5 * (yj + ynew) + eighth * (fj - k1)
+                    gh[s] = kb * dh / (1.0 + (dh ** n if dh > 0.0 else 0.0))
+                    g[s] = kb * ynew / den
+                    ybuf[o + s] = yj = ynew
+                    fbuf[o + s] = fj = k1
+            y[b0 + 1:b1 + 1] = ybuf[:b1 - b0]
+            f[b0 + 1:b1 + 1] = fbuf[:b1 - b0]
+            if not math.isfinite(yj):
+                break
+    except _OVERFLOW:
+        y[b0 + 1:b0 + o + s + 1] = ybuf[:o + s]
+        f[b0 + 1:b0 + o + s + 1] = fbuf[:o + s]
+        return b0 + o + s
+    if math.isfinite(yj):
+        return -1
+    i = 0
+    while math.isfinite(ybuf[i]):
+        i += 1
+    return b0 + i
 
 
 def _exp_scan_impl(x, incr, decay):
@@ -76,37 +103,33 @@ def _exp_scan_impl(x, incr, decay):
 
 
 if USING_NUMBA:
-    _rk4_delay_jit = njit(cache=True)(_rk4_delay_impl)
+    _rk4_delay = njit(cache=True)(_rk4_delay_impl)
     _exp_scan = njit(cache=True)(_exp_scan_impl)
-
-    def rk4_delay(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
-        """Run the compiled kernel on the arrays, with array rings."""
-        return _rk4_delay_jit(y, f, hist_half, np.empty(m), np.empty(m),
-                              m, nsteps, dt, n, beta0, delta, k)
+    _buffer = np.empty
 else:
+    _rk4_delay = _rk4_delay_impl
 
-    def rk4_delay(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
-        """Run the kernel on Python floats, writing into y and f in place.
-
-        A Python float power raises OverflowError where numpy gives inf; the
-        step that raised counts as the first non-finite one. f[m+1:] starts
-        as NaN and each step writes its f node last, so the first NaN left
-        there marks the step that did not finish.
-        """
-        f[m + 1:] = np.nan
-        try:
-            # float() keeps numpy scalar parameters off numpy scalar arithmetic
-            return _rk4_delay_impl(
-                memoryview(y), memoryview(f), hist_half.tolist(), [0.0] * m, [0.0] * m,
-                m, nsteps, float(dt), float(n), float(beta0), float(delta), float(k),
-            )
-        except OverflowError:
-            return m + int(np.argmax(np.isnan(f[m + 1:])))
+    def _buffer(size):
+        return [0.0] * size
 
     def _exp_scan(x, incr, decay):
         # memoryviews hand the loop Python floats and take its writes in place
         _exp_scan_impl(memoryview(x), memoryview(np.ascontiguousarray(incr, dtype=float)),
                        float(decay))
+
+
+def rk4_delay(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
+    """Run the RK4 kernel, writing y and f from index m + 1 on in place.
+
+    Returns the index of the last finite node, or -1. A Python float power
+    that overflows (numpy gives inf) counts its step as the first non-finite.
+    """
+    per = m * -(-BLOCK_STEPS // m)
+    # float() keeps numpy scalar parameters off numpy scalar arithmetic
+    return _rk4_delay(
+        y, f, hist_half, _buffer(m), _buffer(m), _buffer(per), _buffer(per),
+        m, nsteps, float(dt), float(n), float(beta0), float(delta), float(k),
+    )
 
 
 def exp_scan(x, incr, decay):

@@ -5,15 +5,16 @@ root-finding paths: the DDE oracle runs scipy's DOP853 interval by interval,
 the frequency oracle uses brentq on the bracketing form, the root oracles are
 a Newton sweep over a grid of seeds and the Lambert W branches evaluated as
 scipy's Wright omega on numpy arrays, the kernel references are plain
-numpy-scalar loops with the compiled kernels' contracts, scipy.signal's
-lfilter and find_peaks pin the x recursion and the peak picking bit for bit
-(imported inside the two functions, since the benchmark's ensemble check
-imports this module and must not load scipy.signal), the periodic x orbit
-has two references over one sampled y period (one wraps the delay through a
-periodic cubic spline and weights Simpson's rule by the exact exponential,
-the other shifts the delay in Fourier space), and the x reference
-re-interpolates y through the dense output at every node and midpoint
-instead of reading the stored nodes.
+numpy-scalar loops with the compiled kernels' contracts (plus the
+step-by-step pure-Python RK4 loop that the block-writing kernel must match
+bit for bit), scipy.signal's lfilter and find_peaks pin the x recursion and
+the peak picking bit for bit (imported inside the two functions, since the
+benchmark's ensemble check imports this module and must not load
+scipy.signal), the periodic x orbit has two references over one sampled y
+period (one wraps the delay through a periodic cubic spline and weights
+Simpson's rule by the exact exponential, the other shifts the delay in
+Fourier space), and the x reference re-interpolates y through the dense
+output at every node and midpoint instead of reading the stored nodes.
 """
 
 import math
@@ -216,6 +217,58 @@ def rk4_delay_reference(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
         y[j + 1] = ynew
         f[j + 1] = -(beta0 / (1.0 + _pow_pos_reference(ynew, n)) + delta) * ynew + fb1
     return -1
+
+
+def _rk4_delay_stepwise_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
+    # the package kernel before block writes, verbatim: one memoryview store
+    # per node and derivative, and one finiteness check per step
+    half, kb = 0.5 * dt, k * beta0
+    for s in range(m):
+        v, vh = y[s + 1], hist_half[s]
+        g[s] = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
+        gh[s] = kb * vh / (1.0 + (vh ** n if vh > 0.0 else 0.0))
+    yj, fj, v = y[m], f[m], y[0]
+    fb0 = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
+    k1 = -(beta0 / (1.0 + (yj ** n if yj > 0.0 else 0.0)) + delta) * yj + fb0
+    for start in range(m, m + nsteps, m):
+        for j in range(start, min(start + m, m + nsteps)):
+            s = j - start
+            ya = yj + half * k1
+            k2 = -(beta0 / (1.0 + (ya ** n if ya > 0.0 else 0.0)) + delta) * ya + gh[s]
+            yb = yj + half * k2
+            k3 = -(beta0 / (1.0 + (yb ** n if yb > 0.0 else 0.0)) + delta) * yb + gh[s]
+            yc = yj + dt * k3
+            k4 = -(beta0 / (1.0 + (yc ** n if yc > 0.0 else 0.0)) + delta) * yc + g[s]
+            ynew = yj + dt * (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+            if not math.isfinite(ynew):
+                return j
+            p = ynew ** n if ynew > 0.0 else 0.0
+            k1 = -(beta0 / (1.0 + p) + delta) * ynew + g[s]
+            dh = 0.5 * (yj + ynew) + 0.125 * dt * (fj - k1)
+            gh[s] = kb * dh / (1.0 + (dh ** n if dh > 0.0 else 0.0))
+            g[s] = kb * ynew / (1.0 + p)
+            y[j + 1] = yj = ynew
+            f[j + 1] = fj = k1
+    return -1
+
+
+def rk4_delay_stepwise(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
+    """The pure-Python RK4 kernel as it was before block writes, step by step.
+
+    Same contract and same arithmetic in the plain spelling, so the package
+    kernel must match it bit for bit: nodes, derivatives and the returned
+    index of the last finite node. An OverflowError of a Python float power
+    is charged to the step that raised: f[m+1:] starts as NaN and each step
+    writes its f node last, so the first NaN left there marks that step.
+    """
+    f[m + 1:] = np.nan
+    try:
+        return _rk4_delay_stepwise_impl(
+            memoryview(y), memoryview(f), hist_half.tolist(), [0.0] * m, [0.0] * m,
+            m, nsteps, float(dt), float(n), float(beta0), float(delta), float(k),
+        )
+    except OverflowError:
+        return m + int(np.argmax(np.isnan(f[m + 1:])))
 
 
 def exp_scan_reference(x, incr, decay):

@@ -2,8 +2,11 @@
 
 Each case runs the public integrators twice, once with the package kernels
 and once with the reference loops of ``_oracles`` patched in, so both see
-identical inputs by construction.
+identical inputs by construction. The RK4 kernel must also match the
+step-by-step loop it replaced bit for bit, on finished and failed runs.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +15,21 @@ from cmldde import (
     ConstantHistory,
     IntegrationError,
     ModelParams,
+    PreconditionError,
     _kernels,
     eigenmode_history,
     integrate_x,
     integrate_y,
     positive_equilibrium,
 )
-from _oracles import exp_scan_lfilter, exp_scan_reference, rk4_delay_reference
-from conftest import HoledHistory
+from _oracles import (
+    _rk4_delay_stepwise_impl,
+    exp_scan_lfilter,
+    exp_scan_reference,
+    rk4_delay_reference,
+    rk4_delay_stepwise,
+)
+from conftest import HoledHistory, sample_params
 
 
 @pytest.fixture
@@ -32,26 +42,34 @@ def cases(p3, hopf_example):
     ]
 
 
-def test_y_and_x_match_reference_loops(cases, monkeypatch):
-    for params, hist, t_end in cases:
-        x0 = positive_equilibrium(params).x_star
-        y_new = integrate_y(params, hist, t_end)
-        x_new = integrate_x(params, y_new, x0)
-        with monkeypatch.context() as mp:
-            mp.setattr(_kernels, "rk4_delay", rk4_delay_reference)
-            mp.setattr(_kernels, "exp_scan", exp_scan_reference)
-            y_ref = integrate_y(params, hist, t_end)
-            x_ref = integrate_x(params, y_ref, x0)
-        np.testing.assert_allclose(y_new.values, y_ref.values, rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(x_new.values, x_ref.values, rtol=1e-11, atol=0.0)
+def _y_matching_stepwise(params, hist, t_end, dt, monkeypatch):
+    y_new = integrate_y(params, hist, t_end, dt)
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "rk4_delay", rk4_delay_stepwise)
+        y_step = integrate_y(params, hist, t_end, dt)
+    assert np.array_equal(y_new.values, y_step.values)
+    assert np.array_equal(y_new.derivs, y_step.derivs)
+    return y_new
 
 
 def _y_with_reference(params, hist, t_end, dt, monkeypatch):
-    y_new = integrate_y(params, hist, t_end, dt)
+    y_new = _y_matching_stepwise(params, hist, t_end, dt, monkeypatch)
     with monkeypatch.context() as mp:
         mp.setattr(_kernels, "rk4_delay", rk4_delay_reference)
         y_ref = integrate_y(params, hist, t_end, dt)
     return y_new, y_ref
+
+
+def test_y_and_x_match_reference_loops(cases, monkeypatch):
+    for params, hist, t_end in cases:
+        x0 = positive_equilibrium(params).x_star
+        y_new, y_ref = _y_with_reference(params, hist, t_end, None, monkeypatch)
+        x_new = integrate_x(params, y_new, x0)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "exp_scan", exp_scan_reference)
+            x_ref = integrate_x(params, y_ref, x0)
+        np.testing.assert_allclose(y_new.values, y_ref.values, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(x_new.values, x_ref.values, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -74,6 +92,34 @@ def test_delay_interval_edges_match_reference(steps_per_delay, delays, nsteps, h
     np.testing.assert_allclose(y_new.derivs, y_ref.derivs, rtol=1e-11, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "steps_per_delay, nsteps",
+    [(1, 3 * 64 + 5), (2, 3 * 64 + 33), (3, 2 * 66 + 3 * 7 + 2), (32, 5 * 64 + 32 + 7),
+     (64, 2 * 64 + 17)],
+)
+def test_block_edges_match_stepwise(steps_per_delay, nsteps, hopf_example, monkeypatch):
+    # blocks hold whole delay intervals and at least 64 steps (66 at m = 3);
+    # each run ends in a partial block, all but m = 1 inside an interval
+    n, beta0, k, delta = hopf_example
+    params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+    dt = params.r / steps_per_delay
+    y_new = _y_matching_stepwise(params, eigenmode_history(params, 0.05), nsteps * dt, dt,
+                                 monkeypatch)
+    assert y_new.values.size == steps_per_delay + nsteps + 1
+
+
+def test_random_parameter_sets_match_stepwise(monkeypatch):
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        params = sample_params(rng)
+        y_star = positive_equilibrium(params).y_star
+        try:
+            hist = eigenmode_history(params, 0.05 * y_star)
+        except PreconditionError:  # real leading root
+            hist = ConstantHistory(1.3 * y_star)
+        _y_matching_stepwise(params, hist, 20.0 * params.r, params.r / 32, monkeypatch)
+
+
 def test_zero_history_stays_zero(p3, monkeypatch):
     # the clamped history seeds the delayed-flux rings: y = 0 is an
     # equilibrium, and every node and derivative stays exactly 0
@@ -90,6 +136,89 @@ def test_first_non_finite_step_matches_reference(p3, monkeypatch):
     with pytest.raises(IntegrationError) as ref:
         integrate_y(p3, hist, 30.0)
     assert new.value.last_valid_time == ref.value.last_valid_time
+
+
+def _kernel_inputs(m, nsteps, level):
+    # history 1 with the t = 0 node at `level`; NaN beyond shows unwritten nodes
+    y, f = np.full(m + nsteps + 1, np.nan), np.full(m + nsteps + 1, np.nan)
+    y[: m + 1], f[: m + 1] = 1.0, 0.0
+    y[m] = level
+    return y, f, np.ones(m)
+
+
+def _stepwise_overflows(y, f, hist_half, m, *args):
+    try:
+        _rk4_delay_stepwise_impl(memoryview(y.copy()), memoryview(f.copy()), hist_half.tolist(),
+                                 [0.0] * m, [0.0] * m, m, *args)
+    except OverflowError:
+        return True
+    return False
+
+
+def _assert_fails_like_stepwise(y, f, hist_half, *args):
+    y_ref, f_ref = y.copy(), f.copy()
+    bad = rk4_delay_stepwise(y_ref, f_ref, hist_half, *args)
+    assert _kernels.rk4_delay(y, f, hist_half, *args) == bad
+    assert np.isfinite(y[: bad + 1]).all() and np.isfinite(f[: bad + 1]).all()
+    assert np.array_equal(y[: bad + 1], y_ref[: bad + 1])
+    assert np.array_equal(f[: bad + 1], f_ref[: bad + 1])
+    return bad
+
+
+@pytest.mark.parametrize("m", [1, 64])
+@pytest.mark.parametrize("offset", [0, 32, 63], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("n, overflows", [(1.0, False), (2.0, True)],
+                         ids=["non_finite_node", "overflow_error"])
+def test_failing_step_at_block_edges(m, offset, n, overflows):
+    # the first bad step falls at the first, middle or last step of the
+    # second 64-step block. n = 1 never overflows a power, so the node goes
+    # non-finite; at n = 2 a power raises first. Either way the block's
+    # earlier nodes must be stored. dt = 1 and delta = 4 put RK4 far outside
+    # its stability region: |y| grows about fivefold a step, so the t = 0
+    # level sets the step that fails
+    if overflows and _kernels.USING_NUMBA:
+        pytest.skip("compiled powers overflow to inf instead of raising")
+    nsteps, target = 300, 64 + offset
+    args = (m, nsteps, 1.0, n, 2.5, 4.0, 1.5)
+    lo, hi = 0.0, 300.0  # log10 of the t = 0 level: a higher level fails sooner
+    while True:
+        assert hi - lo > 1e-9, "no t = 0 level fails at the target step"
+        mid = 0.5 * (lo + hi)
+        y, f, hist_half = _kernel_inputs(m, nsteps, 10.0 ** mid)
+        bad = rk4_delay_stepwise(y, f, hist_half, *args) - m
+        if bad == target:
+            break
+        lo, hi = (mid, hi) if bad > target else (lo, mid)
+    y, f, hist_half = _kernel_inputs(m, nsteps, 10.0 ** mid)
+    assert _stepwise_overflows(y, f, hist_half, *args) == overflows
+    assert _assert_fails_like_stepwise(y, f, hist_half, *args) == m + target
+
+
+@pytest.mark.parametrize("m, step", [(64, 0), (64, 32), (64, 63), (1, 0)])
+def test_history_hole_at_block_edges(m, step, p3):
+    # a NaN half-node sample spoils the ring slot that step `step` of the
+    # first interval reads
+    y, f, hist_half = _kernel_inputs(m, 200, 1.0)
+    hist_half[step] = np.nan
+    args = (m, 200, p3.r / m, p3.n, p3.beta0, p3.delta, p3.k)
+    assert _assert_fails_like_stepwise(y, f, hist_half, *args) == m + step
+
+
+def test_memory_stays_at_the_node_arrays(hopf_example):
+    # block buffers hold a block, not the run: one integrate_y call on the
+    # README x-sim run (40,000 steps) peaks within 10 % of its two node arrays
+    n, beta0, k, delta = hopf_example
+    params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+    hist = ConstantHistory(1.01 * positive_equilibrium(params).y_star)
+    integrate_y(params, hist, 225.0)
+    tracemalloc.start()
+    try:
+        traj = integrate_y(params, hist, 225.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.values.size == 40065
+    assert peak <= 1.1 * (traj.values.nbytes + traj.derivs.nbytes)
 
 
 def test_exp_scan_first_non_finite_step_matches_reference():
