@@ -6,8 +6,8 @@ the frequency oracle uses brentq on the bracketing form, the root oracles are
 a Newton sweep over a grid of seeds and the Lambert W branches evaluated as
 scipy's Wright omega on numpy arrays, the kernel references are plain
 numpy-scalar loops with the compiled kernels' contracts (plus the
-step-by-step pure-Python RK4 loop that the block-writing kernel must match
-bit for bit), scipy.signal's lfilter and find_peaks pin the x recursion and
+step-by-step pure-Python RK4 loop that the package kernel, which checks
+finiteness once per delay interval, must match bit for bit), scipy.signal's lfilter and find_peaks pin the x recursion and
 the peak picking bit for bit (imported inside the two functions, since the
 benchmark's ensemble check imports this module and must not load
 scipy.signal), the periodic x orbit has two references over one sampled y
@@ -220,8 +220,8 @@ def rk4_delay_reference(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
 
 
 def _rk4_delay_stepwise_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
-    # the package kernel before block writes, verbatim: one memoryview store
-    # per node and derivative, and one finiteness check per step
+    # the package kernel in its plain spelling, as it was before it checked
+    # once per delay interval: one finiteness check per step, on y alone
     half, kb = 0.5 * dt, k * beta0
     for s in range(m):
         v, vh = y[s + 1], hist_half[s]
@@ -253,11 +253,12 @@ def _rk4_delay_stepwise_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, de
 
 
 def rk4_delay_stepwise(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
-    """The pure-Python RK4 kernel as it was before block writes, step by step.
+    """The pure-Python RK4 kernel with one finiteness check per step.
 
-    Same contract and same arithmetic in the plain spelling, so the package
-    kernel must match it bit for bit: nodes, derivatives and the returned
-    index of the last finite node. An OverflowError of a Python float power
+    Same arithmetic in the plain spelling, so the package kernel must match
+    it bit for bit: nodes, derivatives and the returned index of the last
+    finite node. This loop checks y alone, so where a derivative overflows a
+    node before its value does it reports one node later. An OverflowError of a Python float power
     is charged to the step that raised: f[m+1:] starts as NaN and each step
     writes its f node last, so the first NaN left there marks that step.
     """

@@ -231,6 +231,18 @@ class TestSimulate:
                 "--out", str(out)]
         assert main(args) == 4
 
+    @pytest.mark.parametrize("t_end", ["123", "124"])
+    def test_derivative_overflow_is_numerical_failure(self, t_end, tmp_path, capsys):
+        # near |y| = 2.3e307 the loss term delta*y overflows one node before y
+        # does; that node ends the run as a numerical failure, not as an
+        # invalid trajectory
+        out = tmp_path / "y.csv"
+        args = ["simulate", "--n", "1", "--beta0", "2.5", "--delta", "8", "--k", "1.5",
+                "--r", "1", "--dt", "1", "--level", "6.486793534788508e+24",
+                "--t-end", t_end, "--out", str(out)]
+        assert main(args) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", *P3, "--history", "eigenmode", "--c", "0.41",

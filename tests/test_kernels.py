@@ -3,7 +3,8 @@
 Each case runs the public integrators twice, once with the package kernels
 and once with the reference loops of ``_oracles`` patched in, so both see
 identical inputs by construction. The RK4 kernel must also match the
-step-by-step loop it replaced bit for bit, on finished and failed runs.
+step-by-step loop bit for bit on finished and failed runs; that loop checks
+every node's value, the kernel each delay interval's last derivative.
 """
 
 import tracemalloc
@@ -94,18 +95,24 @@ def test_delay_interval_edges_match_reference(steps_per_delay, delays, nsteps, h
 
 @pytest.mark.parametrize(
     "steps_per_delay, nsteps",
-    [(1, 3 * 64 + 5), (2, 3 * 64 + 33), (3, 2 * 66 + 3 * 7 + 2), (32, 5 * 64 + 32 + 7),
-     (64, 2 * 64 + 17)],
+    [(1, 197), (2, 112 * 2 + 1), (3, 51 * 3 + 2), (32, 11 * 32 + 7), (64, 2 * 64 + 17),
+     (8, 20 * 8 + 5)],
 )
 def test_block_edges_match_stepwise(steps_per_delay, nsteps, hopf_example, monkeypatch):
-    # blocks hold whole delay intervals and at least 64 steps (66 at m = 3);
-    # each run ends in a partial block, all but m = 1 inside an interval
+    # the kernel makes one pass per delay interval of m steps; each run ends
+    # in a partial interval after whole ones, all but m = 1 inside an interval.
+    # The reference's powers go through exp/log, so its derivatives differ in
+    # the last bits, which near a zero of f is more than rtol: the atol scales
+    # with max|f| (the largest gap was 4.4e-13 max|f|, at m = 1)
     n, beta0, k, delta = hopf_example
     params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
     dt = params.r / steps_per_delay
-    y_new = _y_matching_stepwise(params, eigenmode_history(params, 0.05), nsteps * dt, dt,
-                                 monkeypatch)
+    y_new, y_ref = _y_with_reference(params, eigenmode_history(params, 0.05), nsteps * dt, dt,
+                                     monkeypatch)
     assert y_new.values.size == steps_per_delay + nsteps + 1
+    np.testing.assert_allclose(y_new.values, y_ref.values, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(y_new.derivs, y_ref.derivs, rtol=1e-11,
+                               atol=1e-11 * np.abs(y_ref.derivs).max())
 
 
 def test_random_parameter_sets_match_stepwise(monkeypatch):
@@ -171,11 +178,12 @@ def _assert_fails_like_stepwise(y, f, hist_half, *args):
                          ids=["non_finite_node", "overflow_error"])
 def test_failing_step_at_block_edges(m, offset, n, overflows):
     # the first bad step falls at the first, middle or last step of the
-    # second 64-step block. n = 1 never overflows a power, so the node goes
-    # non-finite; at n = 2 a power raises first. Either way the block's
-    # earlier nodes must be stored. dt = 1 and delta = 4 put RK4 far outside
-    # its stability region: |y| grows about fivefold a step, so the t = 0
-    # level sets the step that fails
+    # second delay interval (m = 64) or is an interval of its own (m = 1).
+    # n = 1 never overflows a power, so the node goes non-finite; at n = 2 a
+    # power raises first. Either way the interval's earlier nodes must be in
+    # place. dt = 1 and delta = 4 put RK4 far outside its stability region:
+    # |y| grows about fivefold a step, so the t = 0 level sets the step that
+    # fails
     if overflows and _kernels.USING_NUMBA:
         pytest.skip("compiled powers overflow to inf instead of raising")
     nsteps, target = 300, 64 + offset
@@ -197,7 +205,7 @@ def test_failing_step_at_block_edges(m, offset, n, overflows):
 @pytest.mark.parametrize("m, step", [(64, 0), (64, 32), (64, 63), (1, 0)])
 def test_history_hole_at_block_edges(m, step, p3):
     # a NaN half-node sample spoils the ring slot that step `step` of the
-    # first interval reads
+    # first delay interval reads: its first, middle or last step at m = 64
     y, f, hist_half = _kernel_inputs(m, 200, 1.0)
     hist_half[step] = np.nan
     args = (m, 200, p3.r / m, p3.n, p3.beta0, p3.delta, p3.k)
@@ -205,8 +213,9 @@ def test_history_hole_at_block_edges(m, step, p3):
 
 
 def test_memory_stays_at_the_node_arrays(hopf_example):
-    # block buffers hold a block, not the run: one integrate_y call on the
-    # README x-sim run (40,000 steps) peaks within 10 % of its two node arrays
+    # each delay interval writes its nodes in place through two views: one
+    # integrate_y call on the README x-sim run (40,000 steps) peaks within
+    # 10 % of its two node arrays
     n, beta0, k, delta = hopf_example
     params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
     hist = ConstantHistory(1.01 * positive_equilibrium(params).y_star)
@@ -219,6 +228,23 @@ def test_memory_stays_at_the_node_arrays(hopf_example):
         tracemalloc.stop()
     assert traj.values.size == 40065
     assert peak <= 1.1 * (traj.values.nbytes + traj.derivs.nbytes)
+
+
+def test_derivative_overflow_ends_the_run_before_the_value_does():
+    # with n = 1 no power raises, and at |y| near 2.3e307 the loss term
+    # delta*y overflows one node before y does: the run ends at the last node
+    # whose value and derivative are both finite. The step-by-step loop checks
+    # y alone and so reports the next node; up to the kernel's, they agree
+    args = (1, 200, 1.0, 1.0, 2.5, 8.0, 1.5)
+    y, f, hist_half = _kernel_inputs(1, 200, 6.486793534788508e+24)
+    y[0] = y[1]  # a constant history at that level, as `simulate --level` gives
+    y_ref, f_ref = y.copy(), f.copy()
+    bad = _kernels.rk4_delay(y, f, hist_half, *args)
+    assert rk4_delay_stepwise(y_ref, f_ref, hist_half, *args) == bad + 1
+    assert np.isfinite(y[: bad + 2]).all() and not np.isfinite(f[bad + 1])
+    assert np.isfinite(f[: bad + 1]).all()
+    assert np.array_equal(y[: bad + 1], y_ref[: bad + 1])
+    assert np.array_equal(f[: bad + 1], f_ref[: bad + 1])
 
 
 def test_exp_scan_first_non_finite_step_matches_reference():
