@@ -257,8 +257,13 @@ def integrate_y(
     hist_half = np.asarray(history.value(s_nodes[:-1] + 0.5 * dt), dtype=float)
     if (y[: m + 1] < 0.0).any() or (hist_half < 0.0).any():
         raise DomainError("the initial function must be >= 0 on [-r, 0]")
-    # node at t = 0 carries the right-hand derivative of the solution
-    f[m] = rhs_y(y[m], y[0], params)
+    # node at t = 0 carries the right-hand derivative of the solution; Python
+    # floats give numpy's bits and overflow to inf without a warning
+    f[m] = rhs_y(float(y[m]), float(y[0]), params)
+    if not math.isfinite(f[m]):
+        raise IntegrationError(
+            "integration produced a non-finite value", last_valid_time=-dt,
+        )
 
     bad = _kernels.rk4_delay(
         y, f, hist_half, m, nsteps, dt, params.n, params.beta0, params.delta, params.k,

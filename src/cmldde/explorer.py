@@ -6,15 +6,23 @@ trailing sup-distance to the equilibrium drops below a small multiple of
 amplitude dwarfs the initial perturbation. These two thresholds separate the
 very slow outward spiral seen near the degenerate-criticality zone from
 genuine convergence within a feasible horizon.
+
+CPU use: the probes of one driver call that do not depend on each other (every
+offset of criticality_probe, every amplitude of zone_classify, the two
+endpoints of bistability_scan) run in forked worker processes, up to one per
+usable CPU, and return only their small ProbeResults. The results are
+identical to a serial run; `taskset` restricts the CPUs, and a single usable
+CPU, a platform without fork or a daemonic process runs them in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -261,6 +269,32 @@ def _probe(params: ModelParams, c: float, horizon: float, dt, y_star: float) -> 
     return ProbeResult(c=c, orbit=classify_orbit(traj, y_star, horizon))
 
 
+def _probe_map(jobs: list) -> Iterator[ProbeResult]:
+    """_probe(*job) for each job, in job order; a failing job's exception is
+    raised when the iterator reaches it, as a serial loop would raise it.
+
+    Forks min(len(jobs), usable CPUs) workers and closes the pool before the
+    first result is read. With one worker, without fork, or in a daemonic
+    process (which may not have children) the jobs run lazily in-process.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                futures = [pool.submit(_probe, *job) for job in jobs]
+            return (future.result() for future in futures)
+    return (_probe(*job) for job in jobs)
+
+
 def bistability_scan(
     params: ModelParams,
     c_lo: float,
@@ -282,14 +316,15 @@ def bistability_scan(
     y_star = positive_equilibrium(params).y_star
 
     probes = []
-    lo = _probe(params, c_lo, horizon, dt, y_star)
+    endpoints = _probe_map([(params, c, horizon, dt, y_star) for c in (c_lo, c_hi)])
+    lo = next(endpoints)
     probes.append(lo)
     if lo.orbit.kind is not OrbitKind.CONVERGES_TO_EQUILIBRIUM:
         raise PreconditionError(
             f"lower endpoint c = {c_lo} classified {lo.orbit.kind.value!r}; "
             "expected convergence to the equilibrium"
         )
-    hi = _probe(params, c_hi, horizon, dt, y_star)
+    hi = next(endpoints)
     probes.append(hi)
     if not _is_escape(hi.orbit, c_hi):
         raise PreconditionError(
@@ -340,12 +375,15 @@ def criticality_probe(
         raise PreconditionError("offsets must straddle 0")
     r_h = hopf_delay(n, beta0, k, delta)  # NoHopfError when undefined
 
-    points = []
+    jobs = []
     for dr in offsets:
         params = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=r_h + dr)
-        eq = positive_equilibrium(params)
-        orbit = _probe(params, 0.01 * eq.y_star, horizon, dt, eq.y_star).orbit
-        points.append(CriticalityPoint(offset=dr, amplitude=orbit.tail_amplitude, kind=orbit.kind))
+        y_star = positive_equilibrium(params).y_star
+        jobs.append((params, 0.01 * y_star, horizon, dt, y_star))
+    points = [
+        CriticalityPoint(offset=dr, amplitude=res.orbit.tail_amplitude, kind=res.orbit.kind)
+        for dr, res in zip(offsets, _probe_map(jobs))
+    ]
 
     below = [p for p in points if p.offset < 0.0]
     above = [p for p in points if p.offset > 0.0]
@@ -405,7 +443,7 @@ def zone_classify(
     y_star = positive_equilibrium(params).y_star
     verdict = classify_positive(params)
     probes = tuple(
-        _probe(params, c, horizon, dt, y_star) for c in sorted(probe_c_values)
+        _probe_map([(params, c, horizon, dt, y_star) for c in sorted(probe_c_values)])
     )
 
     converges = [p for p in probes if p.orbit.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM]

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -242,6 +245,19 @@ class TestSimulate:
                 "--t-end", t_end, "--out", str(out)]
         assert main(args) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_t0_derivative_overflow_exits_4_without_warning(self, tmp_path):
+        # the loss term overflows in the derivative at t = 0; with warnings as
+        # errors the run must still end as a numerical failure, not a traceback
+        args = ["simulate", "--n", "1", "--beta0", "2.5", "--delta", "8", "--k", "1.5",
+                "--r", "1", "--dt", "1", "--level", "5e307", "--t-end", "5",
+                "--out", str(tmp_path / "y.csv")]
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error")
+        run = subprocess.run([sys.executable, "-m", "cmldde.cli", *args],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 4
+        assert "numerical failure" in run.stderr and "Warning" not in run.stderr
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

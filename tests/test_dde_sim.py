@@ -145,6 +145,26 @@ class TestIntegrateY:
             integrate_y(p3, HoledHistory(p3.r), 30.0)
         assert np.isfinite(exc.value.last_valid_time)
 
+    def test_derivative_overflow_at_zero(self):
+        # delta * 5e307 overflows in the t = 0 derivative itself: the last node
+        # with a finite value and derivative is t = -dt, and no warning is
+        # printed (warnings are errors under this suite's settings)
+        p = ModelParams(n=1, beta0=2.5, delta=8, k=1.5, r=1)
+        with pytest.raises(IntegrationError) as exc:
+            integrate_y(p, ConstantHistory(5e307), 5.0, dt=1.0)
+        assert exc.value.last_valid_time == -1.0
+
+    def test_float_rhs_matches_numpy_bits(self):
+        # the t = 0 derivative is taken on Python floats; they give numpy's bits
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            p = sample_params(rng)
+            y_now, y_delayed = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+            a = dde_sim.rhs_y(float(y_now), float(y_delayed), p)
+            b = dde_sim.rhs_y(np.float64(y_now), np.float64(y_delayed), p)
+            assert type(a) is float
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
     def test_integration_error_survives_pickling(self, p3):
         # process pools and caches pickle exceptions; the required
         # last_valid_time argument must travel with the message

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmldde import (
     ConstantHistory,
+    IntegrationError,
     ModelParams,
     NoHopfError,
     OrbitKind,
@@ -227,3 +232,83 @@ class TestXMirroring:
             if expected is OrbitKind.APPROACHES_CYCLE:
                 # the driven cycle shares the driver's period
                 assert ox.cycle.period == pytest.approx(oy.cycle.period, rel=1e-3)
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+#: unstable equilibrium whose leading root pair keeps the eigenmode history
+#: positive for any c > 0; delta * (y* + 3e307) overflows, so a probe at
+#: c = 3e307 fails on the derivative at t = 0
+OVERFLOW = ModelParams(n=3, beta0=33, delta=6.5, k=1.5, r=0.35)
+
+
+class TestProbeMap:
+    """Independent probes run in forked workers, one per usable CPU, or in-process
+    on one CPU; either way the drivers return and raise the same."""
+
+    @pytest.fixture(autouse=True)
+    def no_children_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def pooled_and_serial(self, monkeypatch, driver):
+        out = []
+        for count in (2, 1):
+            use_cpus(monkeypatch, count)
+            out.append(driver())
+        return out
+
+    def test_criticality_identical(self, monkeypatch, hopf_example):
+        pooled, serial = self.pooled_and_serial(monkeypatch, lambda: criticality_probe(
+            *hopf_example, [-0.01, 0.004, 0.008, 0.012], 400.0))
+        assert pooled == serial
+        assert pooled.verdict.value == "supercritical"
+
+    def test_zone_identical(self, monkeypatch, hopf_example):
+        n, beta0, k, delta = hopf_example
+        p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        pooled, serial = self.pooled_and_serial(
+            monkeypatch, lambda: zone_classify(p, [0.2, 0.005, 0.1], 500.0))
+        assert pooled == serial
+        assert [pr.c for pr in pooled.probes] == [0.005, 0.1, 0.2]
+
+    def test_bistability_identical(self, monkeypatch, p3):
+        # at a sixteenth of the default steps the p3 endpoints still converge/escape
+        pooled, serial = self.pooled_and_serial(
+            monkeypatch, lambda: bistability_scan(p3, 0.2, 0.55, 0.1, 150000.0, p3.r / 4))
+        assert (pooled.c_converge, pooled.c_escape, pooled.probes) == (
+            serial.c_converge, serial.c_escape, serial.probes)
+        assert len(pooled.probes) > 2
+
+    @pytest.mark.parametrize("count", [2, 1])
+    def test_integration_error_keeps_last_valid_time(self, monkeypatch, count):
+        use_cpus(monkeypatch, count)
+        with pytest.raises(IntegrationError) as exc:
+            zone_classify(OVERFLOW, [0.1, 3e307], 2.0)
+        assert exc.value.last_valid_time == -OVERFLOW.r / 64
+        # the pooled error crossed the process boundary
+        assert (type(exc.value.__cause__).__name__ == "_RemoteTraceback") == (count == 2)
+
+    @pytest.mark.parametrize("count", [2, 1])
+    def test_lower_endpoint_error_wins(self, monkeypatch, hopf_example, count):
+        use_cpus(monkeypatch, count)
+        n, beta0, k, delta = hopf_example
+        # past the threshold neither a small amplitude converges nor does a large
+        # one escape the small cycle
+        p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        with pytest.raises(PreconditionError, match="lower endpoint"):
+            bistability_scan(p, 0.005, 0.2, 0.01, 500.0)
+        # and the lower endpoint's verdict comes before the upper probe's exception
+        with pytest.raises(PreconditionError, match="lower endpoint"):
+            bistability_scan(OVERFLOW, 0.1, 3e307, 0.01, 2.0)
+
+    def test_import_loads_no_process_machinery(self):
+        code = ("import sys, cmldde, cmldde.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.strip() == "[]"
