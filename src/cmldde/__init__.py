@@ -64,10 +64,8 @@ from .dde_sim import (
 )
 from .x_solver import (
     ConvergenceReport,
-    ForcingTrace,
     PeriodicInit,
     convergence_check,
-    forcing_trace,
     integrate_x,
     periodic_response,
     periodic_x0,

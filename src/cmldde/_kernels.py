@@ -41,26 +41,29 @@ def _rk4_delay_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
     # overwrites them from the node and half-node it makes, one power each; the
     # node's power also gives its f node, the next step's k1. Hill powers v^n
     # take the v <= 0 limit as 0, which keeps the flux linear across a
-    # microscopic negative overshoot instead of going complex. Each interval
-    # writes its nodes in place through views yv, fv and checks its last
-    # derivative: a non-finite y makes its own derivative non-finite, and NaN
-    # and inf pass through every later stage. Returns the index of the last
-    # node with a finite value and derivative, or -1. A raising power (never
-    # after a non-finite node) is charged to the step in progress: a
-    # half-node's to the step that makes it, m steps before use; a history
-    # node's to the first step. Same bits as the plain spelling: g - a*y is
-    # -(a)*y + g, as IEEE 754 negation is exact, and one read per ring slot
-    # and one 0.125*dt and 1 + y^n change no operation.
+    # microscopic negative overshoot instead of going complex. The first k1,
+    # y'(0+), is stored as f[m]. Each interval writes its nodes in place through
+    # views yv, fv and checks its last derivative: a non-finite y makes its own
+    # derivative non-finite, and NaN and inf pass through every later stage.
+    # Returns the index of the last node with a finite value and derivative,
+    # or -1 (m - 1 for a non-finite f[m]). A raising power (never after a
+    # non-finite node) is charged to the step in progress: a half-node's to
+    # the step that makes it, m steps before use; one before the first step
+    # (a history node's or the first k1's) gives m - 1. Same bits as the
+    # plain spelling: g - a*y is -(a)*y + g, as IEEE 754 negation is exact,
+    # and one read per ring slot and one 0.125*dt and 1 + y^n change no
+    # operation.
     half, eighth, kb = 0.5 * dt, 0.125 * dt, k * beta0
-    end, b0, s = m + nsteps, m, 0  # b0 + s: the step in progress
+    end, b0, s = m + nsteps, m, -1  # b0 + s: the step in progress, m - 1 before the first
     try:
         for q in range(m):
             v, vh = y[q + 1], float(hist_half[q])
             g[q] = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
             gh[q] = kb * vh / (1.0 + (vh ** n if vh > 0.0 else 0.0))
-        yj, fj, v = y[m], f[m], y[0]
+        yj, v = y[m], y[0]
         fb0 = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
         k1 = fb0 - (beta0 / (1.0 + (yj ** n if yj > 0.0 else 0.0)) + delta) * yj
+        f[m] = fj = k1
         for b0 in range(m, end, m):
             yv, fv = y[b0 + 1:], f[b0 + 1:]
             for s in range(min(m, end - b0)):
@@ -85,10 +88,10 @@ def _rk4_delay_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, delta, k):
         return b0 + s
     if math.isfinite(fj):
         return -1
-    s = 0
-    while math.isfinite(fv[s]):
+    s = b0
+    while math.isfinite(f[s]):
         s += 1
-    return b0 + s
+    return s - 1
 
 
 def _exp_scan_impl(x, incr, decay):
@@ -117,11 +120,12 @@ else:
 
 
 def rk4_delay(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
-    """Run the RK4 kernel, writing y and f from index m + 1 on in place.
+    """Run the RK4 kernel, writing f from index m and y from index m + 1 on in place.
 
-    Returns the index of the last node with a finite value and derivative, or
-    -1. A Python float power that overflows (numpy gives inf) counts its step
-    as the first non-finite.
+    f[m], y'(0+), is the first RK4 stage. Returns the index of the last node
+    with a finite value and derivative, or -1. A Python float power that
+    overflows (numpy gives inf) counts its step as the first non-finite; one
+    that raises before the first step gives m - 1.
     """
     # float() keeps numpy scalar parameters off numpy scalar arithmetic
     return _rk4_delay(

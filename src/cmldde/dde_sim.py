@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, IntegrationError, PreconditionError
-from .model import ModelParams, positive_equilibrium, rhs_y
+from .model import ModelParams, positive_equilibrium
 from .linear_analysis import leading_roots
 
 #: default steps per delay interval
@@ -107,8 +107,9 @@ class Trajectory(History):
     all finite, else DomainError); a History wherever it covers [-r, 0].
 
     Evaluation in [t0, t_end] uses cubic Hermite interpolation of the stored
-    pairs, and DomainError outside; times at or before 0 defer to the exact
-    history function when one is attached. Immutable and safe to share.
+    pairs, and DomainError outside (NaN included); times at or before 0 defer
+    to the exact history function when one is attached. Immutable and safe to
+    share.
     """
 
     t0: float
@@ -143,7 +144,7 @@ class Trajectory(History):
         # t = 0 the derivative is the solution's right-hand one, node f[m]
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         slack = 1e-9 * max(1.0, abs(self.t_end))  # roundoff from t0 + dt*i sums
-        if np.any(t_arr < self.t0 - slack) or np.any(t_arr > self.t_end + slack):
+        if not (np.all(t_arr >= self.t0 - slack) and np.all(t_arr <= self.t_end + slack)):
             raise DomainError("evaluation outside the covered span")
         past = t_arr <= 0.0 if order == 0 else t_arr < 0.0
         if self.history is None or not past.any():
@@ -257,21 +258,14 @@ def integrate_y(
     hist_half = np.asarray(history.value(s_nodes[:-1] + 0.5 * dt), dtype=float)
     if (y[: m + 1] < 0.0).any() or (hist_half < 0.0).any():
         raise DomainError("the initial function must be >= 0 on [-r, 0]")
-    # node at t = 0 carries the right-hand derivative of the solution; Python
-    # floats give numpy's bits and overflow to inf without a warning
-    f[m] = rhs_y(float(y[m]), float(y[0]), params)
-    if not math.isfinite(f[m]):
-        raise IntegrationError(
-            "integration produced a non-finite value", last_valid_time=-dt,
-        )
 
+    # the kernel also writes f[m], the solution's right-hand derivative at t = 0
     bad = _kernels.rk4_delay(
         y, f, hist_half, m, nsteps, dt, params.n, params.beta0, params.delta, params.k,
     )
     if bad >= 0:
         raise IntegrationError(
-            "integration produced a non-finite value",
-            last_valid_time=-params.r + dt * bad,
+            "integration produced a non-finite value", last_valid_time=dt * (bad - m),
         )
     return Trajectory(
         t0=-params.r, dt=dt, values=y, derivs=f,

@@ -230,8 +230,11 @@ def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClas
     Converging: trailing sup-distance to y_star below CONVERGE_SCALE (1 + |y_star|)
     and not above the middle third's. Cycle: trailing amplitude steady within
     AMP_DRIFT. Growing: trailing amplitude still rising. Anything else:
-    indeterminate.
+    indeterminate. PreconditionError unless 0 < horizon < inf, the trajectory
+    covers it, and the middle and last thirds each hold a stored node.
     """
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
     if traj.t_end < horizon - 1e-9 * max(1.0, horizon):
         raise PreconditionError("trajectory does not cover the requested horizon")
     tol = CONVERGE_SCALE * (1.0 + abs(y_star))
@@ -239,6 +242,9 @@ def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClas
 
     _, v2 = traj.window(t1, t2)
     t3, v3 = traj.window(t2, horizon)
+    if v2.size == 0 or v3.size == 0:
+        raise PreconditionError(f"horizon {horizon:g} is too short: a third of it holds no "
+                                f"stored node (dt = {traj.dt:g})")
     sup2 = float(np.abs(v2 - y_star).max())
     sup3 = float(np.abs(v3 - y_star).max())
     if sup3 < tol and sup3 <= sup2:

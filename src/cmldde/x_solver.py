@@ -37,18 +37,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
-from .model import (Equilibrium, EquilibriumKind, ModelParams, feedback, flux_forcing,
-                    positive_equilibrium)
+from .model import ModelParams, feedback, flux_forcing
 from .dde_sim import Trajectory
-
-
-@dataclass(frozen=True)
-class ForcingTrace:
-    """H(t): the x-equation forcing measured relative to an equilibrium."""
-
-    times: np.ndarray
-    values: np.ndarray
-    reference: Equilibrium
 
 
 @dataclass(frozen=True)
@@ -102,22 +92,6 @@ def _delay_steps(params: ModelParams, y_traj: Trajectory) -> int:
         raise PreconditionError("y trajectory must start at -r on a grid whose step "
                                 "divides r, with at least one step after 0")
     return m
-
-
-def forcing_trace(params: ModelParams, y_traj: Trajectory) -> ForcingTrace:
-    """H(y)(t) on the stored grid of y_traj (t >= 0), read from the stored nodes.
-
-    H is the x forcing minus its value at the reference equilibrium: the
-    positive equilibrium when it exists, else the trivial one (where the
-    offset vanishes). y_traj must satisfy integrate_x's grid precondition.
-    """
-    if params.has_positive_equilibrium:
-        reference = positive_equilibrium(params)
-    else:
-        reference = Equilibrium(0.0, 0.0, EquilibriumKind.TRIVIAL)
-    m, y = _delay_steps(params, y_traj), y_traj.values
-    h = _clamped_forcing(params, y, m) - params.gamma * reference.x_star
-    return ForcingTrace(times=y_traj.times[m:], values=h, reference=reference)
 
 
 def integrate_x(params: ModelParams, y_traj: Trajectory, x0: float) -> Trajectory:

@@ -188,8 +188,9 @@ def rk4_delay_reference(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
     """Scalar numpy RK4 method-of-steps loop with the package kernel's contract.
 
     Every Hill power goes through np.exp/np.log on numpy scalars, so an
-    overflowing power gives inf instead of raising. Fills y, f from index
-    m + 1 on and returns the index of the first non-finite node, or -1.
+    overflowing power gives inf instead of raising. Fills f from index m (f[m]
+    is the first step's k1, y'(0+)) and y from index m + 1 on, and returns the
+    index of the last finite node, or -1.
     """
     half = 0.5 * dt
     for i in range(nsteps):
@@ -205,6 +206,8 @@ def rk4_delay_reference(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
         fbh = k * beta0 * dh / (1.0 + _pow_pos_reference(dh, n))
         fb1 = k * beta0 * d1 / (1.0 + _pow_pos_reference(d1, n))
         k1 = -(beta0 / (1.0 + _pow_pos_reference(yj, n)) + delta) * yj + fb0
+        if i == 0:
+            f[m] = k1
         ya = yj + half * k1
         k2 = -(beta0 / (1.0 + _pow_pos_reference(ya, n)) + delta) * ya + fbh
         yb = yj + half * k2
@@ -227,9 +230,10 @@ def _rk4_delay_stepwise_impl(y, f, hist_half, g, gh, m, nsteps, dt, n, beta0, de
         v, vh = y[s + 1], hist_half[s]
         g[s] = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
         gh[s] = kb * vh / (1.0 + (vh ** n if vh > 0.0 else 0.0))
-    yj, fj, v = y[m], f[m], y[0]
+    yj, v = y[m], y[0]
     fb0 = kb * v / (1.0 + (v ** n if v > 0.0 else 0.0))
     k1 = -(beta0 / (1.0 + (yj ** n if yj > 0.0 else 0.0)) + delta) * yj + fb0
+    f[m] = fj = k1
     for start in range(m, m + nsteps, m):
         for j in range(start, min(start + m, m + nsteps)):
             s = j - start
@@ -256,20 +260,22 @@ def rk4_delay_stepwise(y, f, hist_half, m, nsteps, dt, n, beta0, delta, k):
     """The pure-Python RK4 kernel with one finiteness check per step.
 
     Same arithmetic in the plain spelling, so the package kernel must match
-    it bit for bit: nodes, derivatives and the returned index of the last
-    finite node. This loop checks y alone, so where a derivative overflows a
-    node before its value does it reports one node later. An OverflowError of a Python float power
-    is charged to the step that raised: f[m+1:] starts as NaN and each step
-    writes its f node last, so the first NaN left there marks that step.
+    it bit for bit: nodes, derivatives (f[m] is the first k1, y'(0+)) and the
+    returned index of the last finite node. This loop checks y alone, so where
+    a derivative overflows a node before its value does it reports one node
+    later. An OverflowError of a Python float power is charged to the step
+    that raised: f[m:] starts as NaN, the first k1 is written to f[m] and each
+    step writes its f node last, so the first NaN left there marks that step
+    (m - 1 when the raise comes before the first step).
     """
-    f[m + 1:] = np.nan
+    f[m:] = np.nan
     try:
         return _rk4_delay_stepwise_impl(
             memoryview(y), memoryview(f), hist_half.tolist(), [0.0] * m, [0.0] * m,
             m, nsteps, float(dt), float(n), float(beta0), float(delta), float(k),
         )
     except OverflowError:
-        return m + int(np.argmax(np.isnan(f[m + 1:])))
+        return m - 1 + int(np.argmax(np.isnan(f[m:])))
 
 
 def exp_scan_reference(x, incr, decay):

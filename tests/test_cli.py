@@ -428,6 +428,21 @@ def test_non_finite_initial_data_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["zone", *SEC3, "--r", "0.36", "--c-values", "0.05"],
+    ["criticality", *SEC3],
+    ["bistability", *SEC3, "--r", "0.36", "--c-lo", "0.2", "--c-hi", "0.55"],
+], ids=["zone", "criticality", "bistability"])
+def test_horizon_shorter_than_the_grid_usage_error(argv, tmp_path, capsys):
+    # a horizon of 1e-3 is a fraction of one step (r/64 = 0.0056): the orbit
+    # classifier finds no stored node in its middle and last thirds
+    out = tmp_path / "out"
+    assert main([*argv, "--horizon", "0.001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "too short" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _readme_commands():
     text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from cmldde import (
     leading_roots,
     positive_equilibrium,
 )
-from cmldde import dde_sim
+from cmldde import _kernels, dde_sim
+from cmldde.model import rhs_y
 from conftest import HoledHistory, sample_params
 from _oracles import dde_reference
 
@@ -79,6 +81,17 @@ class TestHistories:
             Trajectory(**ts, values=[1.0, math.inf, 1.0], derivs=[0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
             Trajectory(**ts, values=[1.0, 1.0, 1.0], derivs=[0.0, math.inf, 0.0])
+
+    @pytest.mark.parametrize("read, t", [("value_at", math.nan), ("derivative_at", [1.0, math.nan]),
+                                         ("value_at", [math.nan, 0.5])])
+    def test_nan_time_outside_the_span(self, read, t):
+        # NaN fails every comparison, so it must fail the span check, before
+        # the interpolation casts it to an index (which warns under -W error)
+        traj = Trajectory(t0=0.0, dt=0.5, values=[1.0, 2.0, 3.0], derivs=[2.0, 2.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="outside the covered span"):
+                getattr(traj, read)(t)
 
 
 class TestIntegrateY:
@@ -154,14 +167,42 @@ class TestIntegrateY:
             integrate_y(p, ConstantHistory(5e307), 5.0, dt=1.0)
         assert exc.value.last_valid_time == -1.0
 
+    def test_power_overflow_at_zero(self, p3):
+        # y(0)^2 = 1e400 raises in the first RK4 stage, before the first step:
+        # the last node with a finite value and derivative is t = -dt
+        if _kernels.USING_NUMBA:
+            pytest.skip("compiled powers overflow to inf instead of raising")
+        with pytest.raises(IntegrationError) as exc:
+            integrate_y(p3, ConstantHistory(1e200), 10.0)
+        assert exc.value.last_valid_time == -p3.r / 64
+
+    def test_t0_derivative_is_the_first_rk4_stage(self):
+        # derivs[m], y'(0+), is the kernel's first k1, bit for bit, spelled
+        # here on Python floats from v = y(-r) and y = y(0)
+        rng = np.random.default_rng(19)
+        checked = 0
+        while checked < 50:
+            p = sample_params(rng)
+            try:
+                hist = eigenmode_history(p, 0.05 * positive_equilibrium(p).y_star)
+            except PreconditionError:  # real leading root
+                continue
+            traj = integrate_y(p, hist, p.r)
+            m = traj.delay_steps
+            v, y = float(traj.values[0]), float(traj.values[m])
+            n, beta0, delta, k = float(p.n), float(p.beta0), float(p.delta), float(p.k)
+            expected = (k * beta0) * v / (1 + v ** n) - (beta0 / (1 + y ** n) + delta) * y
+            assert traj.derivs[m] == expected
+            checked += 1
+
     def test_float_rhs_matches_numpy_bits(self):
-        # the t = 0 derivative is taken on Python floats; they give numpy's bits
+        # rhs_y on Python floats gives numpy's bits
         rng = np.random.default_rng(5)
         for _ in range(1000):
             p = sample_params(rng)
             y_now, y_delayed = 10.0 ** rng.uniform(-6.0, 6.0, 2)
-            a = dde_sim.rhs_y(float(y_now), float(y_delayed), p)
-            b = dde_sim.rhs_y(np.float64(y_now), np.float64(y_delayed), p)
+            a = rhs_y(float(y_now), float(y_delayed), p)
+            b = rhs_y(np.float64(y_now), np.float64(y_delayed), p)
             assert type(a) is float
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
 

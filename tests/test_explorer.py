@@ -138,6 +138,13 @@ class TestClassifyOrbit:
         with pytest.raises(PreconditionError):
             classify_orbit(traj, 1.0, 500.0)
 
+    @pytest.mark.parametrize("horizon", [-5.0, math.nan, 1e-3, math.inf])
+    def test_horizon_without_nodes_in_each_third_rejected(self, p3, horizon):
+        # dt = r/64 = 0.118: a horizon of 1e-3 leaves its last two thirds empty
+        traj = integrate_y(p3, ConstantHistory(1.0), 100.0)
+        with pytest.raises(PreconditionError):
+            classify_orbit(traj, 1.0, horizon)
+
 
 class TestBistabilityScan:
     def test_degenerate_tolerance_returns_input(self, p3):

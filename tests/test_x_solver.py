@@ -21,7 +21,6 @@ from cmldde import (
     Trajectory,
     convergence_check,
     eigenmode_history,
-    forcing_trace,
     integrate_x,
     integrate_y,
     periodic_response,
@@ -29,7 +28,6 @@ from cmldde import (
     positive_equilibrium,
 )
 from cmldde.explorer import cycle_estimate, refine_period
-from cmldde.model import forcing
 from cmldde.x_solver import _exp_simpson
 from conftest import sample_params
 from _oracles import integrate_x_reference, periodic_x0_fourier, periodic_x0_reference
@@ -116,7 +114,6 @@ class TestIntegrateX:
         monkeypatch.setattr(Trajectory, "value_at",
                             lambda self, t: points.append(np.size(t)) or original(self, t))
         integrate_x(p3, y_traj, 1.0)
-        forcing_trace(p3, y_traj)
         assert points == []
 
     def test_peak_memory_bounded(self, hopf_example):
@@ -142,8 +139,6 @@ class TestIntegrateX:
         y_traj = synthetic_trajectory(flat, np.zeros_like, -p3.r, 50.0, p3.r / 64.5)
         with pytest.raises(PreconditionError, match="divides r"):
             integrate_x(p3, y_traj, 0.0)
-        with pytest.raises(PreconditionError, match="divides r"):
-            forcing_trace(p3, y_traj)
 
     def test_shorter_delay_than_trajectory_rejected(self, p3):
         # r/2 is a whole number of steps too, but y starts at -r, not at -r/2
@@ -373,29 +368,6 @@ class TestPeriodicX0Fourier:
         assert out.stdout.strip() == "[]"
         assert (tmp_path / "x.csv").stat().st_size > 0
         assert len(json.loads((tmp_path / "stability.json").read_text())["leading_roots"]) == 5
-
-
-class TestForcingTrace:
-    def test_tail_vanishes_on_convergent_run(self, p3):
-        y_traj = integrate_y(p3, eigenmode_history(p3, 0.2), 120000.0)
-        trace = forcing_trace(p3, y_traj)
-        tail = trace.values[trace.times > 100000.0]
-        assert np.abs(tail).max() < 1e-4
-
-    def test_reads_stored_nodes(self, p3):
-        # dense output at the node times is off by up to 1.5e-12 relative here
-        y_traj = integrate_y(p3, eigenmode_history(p3, 0.55), 20000.0)
-        trace = forcing_trace(p3, y_traj)
-        m, y = y_traj.delay_steps, y_traj.values
-        expected = forcing(y[m:], y[:-m], p3) - p3.gamma * positive_equilibrium(p3).x_star
-        assert np.array_equal(trace.values, expected)
-        assert np.array_equal(trace.times, y_traj.times[m:])
-
-    def test_equilibrium_reference_value(self, p3):
-        eq = positive_equilibrium(p3)
-        y_traj = integrate_y(p3, ConstantHistory(eq.y_star), 100.0)
-        trace = forcing_trace(p3, y_traj)
-        assert np.abs(trace.values).max() < 1e-12
 
 
 class TestConvergenceCheck:
