@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,10 @@ STEPS_PER_DELAY = 64
 
 #: most grid nodes (history plus steps) one run may allocate: 128 MiB per array
 MAX_NODES = 2**24
+
+# steps (x path) or CSV rows one pass holds in temporaries, so that a whole
+# run's memory is its node arrays plus one block
+_BLOCK_STEPS = 2**12
 
 
 def _hermite(y0, y1, f0, f1, th, h, order):
@@ -193,17 +198,25 @@ class Trajectory(History):
         return self.t0 + self.dt * np.arange(lo, hi), self.values[lo:hi]
 
     def write_csv(self, dest, labels=("t", "y", "ydot"), stride: int = 1):
-        """Dump stored nodes to a path or text stream as CSV (LF endings, header row)."""
+        """Dump every stride-th stored node to a path or text stream as CSV (LF
+        endings, header row), a block of rows at a time: the times t0 + dt*i of
+        a block's nodes are formed with it, never for the whole run."""
+        try:
+            stride = operator.index(stride)
+        except TypeError:
+            stride = 0  # not an integer: rejected with the values below 1
         if stride < 1:
-            raise DomainError("stride must be >= 1")
-        t = self.times[::stride]
-        v = self.values[::stride]
-        d = self.derivs[::stride]
+            raise DomainError("stride must be an integer >= 1")
+        span, size = _BLOCK_STEPS * stride, self.values.size
         is_path = isinstance(dest, (str, os.PathLike))
         with open(dest, "w", newline="\n") if is_path else contextlib.nullcontext(dest) as fh:
             fh.write(",".join(labels) + "\n")
-            for row in zip(t, v, d):
-                fh.write("%.17g,%.17g,%.17g\n" % row)
+            for lo in range(0, size, span):
+                t = self.t0 + self.dt * np.arange(lo, min(lo + span, size), stride)
+                v = self.values[lo:lo + span:stride]
+                d = self.derivs[lo:lo + span:stride]
+                for row in zip(t, v, d):
+                    fh.write("%.17g,%.17g,%.17g\n" % row)
 
 
 def _resolve_steps(r: float, dt: float) -> int:

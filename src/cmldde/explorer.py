@@ -184,9 +184,12 @@ def cycle_estimate(traj: Trajectory, t_transient: float) -> CycleEstimate:
 
     Amplitude is half the peak-to-trough range of the trailing window, period
     the mean spacing of parabolic-refined peaks. With fewer than 3 peaks the
-    amplitude is reported as 0 and the period as None.
+    amplitude is reported as 0 and the period as None. PreconditionError when
+    [t_transient, t_end] holds no stored node (a NaN t_transient included).
     """
     t, v = traj.window(t_transient, traj.t_end)
+    if v.size == 0:
+        raise PreconditionError(f"no stored node in [{t_transient:g}, {traj.t_end:g}]")
     return _cycle_from_samples(t, v)
 
 

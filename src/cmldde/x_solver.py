@@ -13,6 +13,9 @@ are the Hermite interpolant at each step's centre, read from slices of the
 nodes; there is no dense-output read. The homogeneous part is
 exact, which makes the convergence-transfer statement about this formula
 directly testable, and removes any stability constraint from gamma.
+integrate_x runs in blocks of steps and forms the forcing, the midpoints and
+the Simpson increments for one block at a time, so a run's memory is its
+node arrays (y's and x's) plus one block, whatever its length.
 
 Because k/2 = e^(-gamma r), the equation integrates in closed form:
 
@@ -38,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
 from .model import ModelParams, feedback, flux_forcing
-from .dde_sim import Trajectory
+from .dde_sim import _BLOCK_STEPS, Trajectory
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,18 @@ def _clamped_forcing(params: ModelParams, y: np.ndarray, m: int) -> np.ndarray:
     return flux_forcing(flux[m:], flux[:-m], params)
 
 
-def _exp_simpson(gamma, dt, f_nodes, f_half, u0, t_start):
-    """u on the nodes of u' = -gamma u + f from u(t_start) = u0: the exact
-    one-step recursion with Simpson's rule under the exponential weight, from
-    f at the nodes and step midpoints; IntegrationError if u goes non-finite."""
+def _exp_simpson(gamma, dt, f_nodes, f_half, u, lo=0, t_start=0.0):
+    """Fill u[lo + 1 : lo + f_nodes.size] of u' = -gamma u + f from u[lo] in
+    place, and return u: the exact one-step recursion with Simpson's rule under
+    the exponential weight, from f at the nodes and step midpoints;
+    IntegrationError at t_start + dt * (step index in u) if u goes non-finite."""
     decay = math.exp(-gamma * dt)
     decay_half = math.exp(-0.5 * gamma * dt)
     incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
-    u = np.empty(f_nodes.size)
-    u[0] = u0
-    bad = _kernels.exp_scan(u, incr, decay)
+    bad = _kernels.exp_scan(u[lo:lo + f_nodes.size], incr, decay)
     if bad >= 0:
         raise IntegrationError("x integration produced a non-finite value",
-                               last_valid_time=t_start + dt * bad)
+                               last_valid_time=t_start + dt * (lo + bad))
     return u
 
 
@@ -101,14 +103,23 @@ def integrate_x(params: ModelParams, y_traj: Trajectory, x0: float) -> Trajector
     a grid whose step divides r, with at least one step after 0, as
     integrate_y returns it; anything else is a PreconditionError. y at the
     Simpson midpoints is Hermite-interpolated on slices of the stored nodes.
+    The steps run in blocks of max(_BLOCK_STEPS, m): block [lo, hi) reads y
+    nodes lo..hi+m and the midpoints of steps lo..hi+m-1, so its temporaries
+    are O(block) and the run's memory is x and xdot plus one block.
     """
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
-    m, dt = _delay_steps(params, y_traj), y_traj.dt
-    f_half = _clamped_forcing(params, y_traj._step_midpoints(), m)
-    f_nodes = _clamped_forcing(params, y_traj.values, m)
-    x = _exp_simpson(params.gamma, dt, f_nodes, f_half, x0, 0.0)
-    xdot = -params.gamma * x + f_nodes
+    m, dt, gamma = _delay_steps(params, y_traj), y_traj.dt, params.gamma
+    nsteps = y_traj.values.size - 1 - m
+    x, xdot = np.empty(nsteps + 1), np.empty(nsteps + 1)
+    x[0] = x0
+    block = max(_BLOCK_STEPS, m)  # a fixed block below m would re-read O(m) per block
+    for lo in range(0, nsteps, block):
+        hi = min(lo + block, nsteps)
+        f_half = _clamped_forcing(params, y_traj._step_midpoints(lo, hi + m), m)
+        f_nodes = _clamped_forcing(params, y_traj.values[lo:hi + m + 1], m)
+        _exp_simpson(gamma, dt, f_nodes, f_half, x, lo)
+        xdot[lo:hi + 1] = -gamma * x[lo:hi + 1] + f_nodes
     return Trajectory(t0=0.0, dt=dt, values=x, derivs=xdot)
 
 
@@ -154,7 +165,8 @@ def periodic_x0(params: ModelParams, y_traj: Trajectory, t0: float) -> float:
         raise PreconditionError(f"t0 = {t0} is not a node of the y trajectory in [0, t_end]")
     g_nodes = _clamped_flux(params, y_traj.values[j - m:j + 1])
     g_half = _clamped_flux(params, y_traj._step_midpoints(j - m, j))
-    return float(_exp_simpson(params.gamma, dt, g_nodes, g_half, 0.0, t0 - params.r)[-1])
+    u = _exp_simpson(params.gamma, dt, g_nodes, g_half, np.zeros(m + 1), t_start=t0 - params.r)
+    return float(u[-1])
 
 
 def convergence_check(

@@ -14,7 +14,9 @@ scipy.signal), the periodic x orbit has two references over one sampled y
 period (one wraps the delay through a periodic cubic spline and weights
 Simpson's rule by the exact exponential, the other shifts the delay in
 Fourier space), and the x reference re-interpolates y through the dense
-output at every node and midpoint instead of reading the stored nodes.
+output at every node and midpoint instead of reading the stored nodes. The
+blocked x solver and CSV writer must match their one-pass forms bit for bit
+(the whole run's forcing and time grid formed at once).
 """
 
 import math
@@ -28,6 +30,7 @@ from scipy.special import wrightomega
 
 from cmldde import (
     CharacteristicRoot,
+    IntegrationError,
     ConditioningError,
     PeriodicInit,
     PreconditionError,
@@ -36,8 +39,10 @@ from cmldde import (
     positive_equilibrium,
     rhs_y,
 )
+from cmldde import _kernels
+from cmldde.dde_sim import Trajectory
 from cmldde.linear_analysis import MAX_ROOTS
-from cmldde.model import forcing
+from cmldde.model import feedback, flux_forcing, forcing
 
 #: Newton seed grid density for the root sweep (per axis)
 SEED_GRID = 40
@@ -382,3 +387,32 @@ def integrate_x_reference(params, y_traj, x0):
     x[0] = x0
     assert exp_scan_reference(x, incr, decay) < 0
     return x
+
+
+def integrate_x_onepass(params, y_traj, x0):
+    """integrate_x as one pass over the whole run: the flux, the forcing at every
+    node and midpoint, the Simpson increments and x formed as whole-run arrays."""
+    dt = y_traj.dt
+    m = round(params.r / dt)
+    flux = lambda y: feedback(np.maximum(y, 0.0), params.beta0, params.n)
+    g_half, g_nodes = flux(y_traj._step_midpoints()), flux(y_traj.values)
+    f_half = flux_forcing(g_half[m:], g_half[:-m], params)
+    f_nodes = flux_forcing(g_nodes[m:], g_nodes[:-m], params)
+    decay = math.exp(-params.gamma * dt)
+    decay_half = math.exp(-0.5 * params.gamma * dt)
+    incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
+    x = np.empty(f_nodes.size)
+    x[0] = x0
+    bad = _kernels.exp_scan(x, incr, decay)
+    if bad >= 0:
+        raise IntegrationError("x integration produced a non-finite value",
+                               last_valid_time=dt * bad)
+    return Trajectory(t0=0.0, dt=dt, values=x, derivs=-params.gamma * x + f_nodes)
+
+
+def write_csv_onepass(traj, fh, labels, stride):
+    """Trajectory.write_csv to a text stream with the whole strided time grid
+    times[::stride] formed at once."""
+    fh.write(",".join(labels) + "\n")
+    for row in zip(traj.times[::stride], traj.values[::stride], traj.derivs[::stride]):
+        fh.write("%.17g,%.17g,%.17g\n" % row)

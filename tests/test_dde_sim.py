@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from cmldde import (
 from cmldde import _kernels, dde_sim
 from cmldde.model import rhs_y
 from conftest import HoledHistory, sample_params
-from _oracles import dde_reference
+from _oracles import dde_reference, write_csv_onepass
 
 
 class TestHistories:
@@ -359,6 +360,39 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             traj.write_csv(out, stride=0)
         assert not out.exists()
+
+    @pytest.mark.parametrize("stride", [1.5, 2.0, "2", None])
+    def test_csv_non_integer_stride_rejected(self, p3, tmp_path, stride):
+        traj = integrate_y(p3, ConstantHistory(1.0), 5.0)
+        out = tmp_path / "traj.csv"
+        with pytest.raises(DomainError, match="integer >= 1"):
+            traj.write_csv(out, stride=stride)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stride", [1, 3, 8, dde_sim._BLOCK_STEPS + 1, np.int64(3)])
+    def test_csv_blocks_match_one_pass(self, p3, stride):
+        # 3 blocks of rows at stride 1, rows on both sides of every block edge
+        steps = 3 * dde_sim._BLOCK_STEPS + 17 - 64
+        traj = integrate_y(p3, eigenmode_history(p3, 0.4), steps * p3.r / 64)
+        assert traj.values.size == 3 * dde_sim._BLOCK_STEPS + 18
+        blocked, onepass = io.StringIO(), io.StringIO()
+        traj.write_csv(blocked, ("t", "y", "ydot"), stride)
+        write_csv_onepass(traj, onepass, ("t", "y", "ydot"), stride)
+        assert blocked.getvalue() == onepass.getvalue()
+
+    def test_csv_peak_memory_is_one_block(self, tmp_path):
+        # 400,000 steps: the whole time grid alone would take 3.2 MB
+        n = 400_001
+        traj = Trajectory(t0=-1.0, dt=1e-3, values=np.linspace(1.0, 2.0, n), derivs=np.ones(n))
+        out = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            traj.write_csv(out, stride=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 1 + (n + 7) // 8
+        assert peak < 1e6
 
 
 class TestNodeViews:

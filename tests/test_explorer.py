@@ -73,6 +73,13 @@ class TestCycleEstimate:
         est = cycle_estimate(traj, 0.0)  # < 10 periods available
         assert not est.steady
 
+    @pytest.mark.parametrize("t_transient", [math.nan, 100.0 + 1.0, math.inf])
+    def test_empty_window_rejected(self, t_transient):
+        # no stored node in [t_transient, t_end]: not a flat signal
+        traj = sine_trajectory(4.0, 0.5, 1.0, 100.0, 0.01)
+        with pytest.raises(PreconditionError, match="no stored node"):
+            cycle_estimate(traj, t_transient)
+
     def test_settled_cycle_dominates_slow_spiral(self, p3):
         # at equal time the orbit that jumped to the outer cycle has strictly
         # larger amplitude than any window of the slowly growing one

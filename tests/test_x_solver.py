@@ -16,6 +16,7 @@ from cmldde import (
     ConditioningError,
     ConstantHistory,
     DomainError,
+    IntegrationError,
     ModelParams,
     PreconditionError,
     Trajectory,
@@ -28,9 +29,15 @@ from cmldde import (
     positive_equilibrium,
 )
 from cmldde.explorer import cycle_estimate, refine_period
+from cmldde.dde_sim import _BLOCK_STEPS
 from cmldde.x_solver import _exp_simpson
 from conftest import sample_params
-from _oracles import integrate_x_reference, periodic_x0_fourier, periodic_x0_reference
+from _oracles import (
+    integrate_x_onepass,
+    integrate_x_reference,
+    periodic_x0_fourier,
+    periodic_x0_reference,
+)
 
 
 def synthetic_trajectory(fn, dfn, t0, t_end, dt):
@@ -154,6 +161,76 @@ class TestIntegrateX:
             integrate_x(p3, y_traj, x0)
 
 
+class TestIntegrateXBlocks:
+    """integrate_x runs in blocks of max(_BLOCK_STEPS, m) steps and must equal the
+    one-pass form bit for bit, with temporaries of one block."""
+
+    @staticmethod
+    def _assert_identical(params, y_traj, x0):
+        x, ref = integrate_x(params, y_traj, x0), integrate_x_onepass(params, y_traj, x0)
+        assert np.array_equal(x.values, ref.values)
+        assert np.array_equal(x.derivs, ref.derivs)
+
+    @pytest.mark.parametrize("steps", [_BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1,
+                                       3 * _BLOCK_STEPS + 17])
+    def test_block_edges_eigenmode(self, p3, steps):
+        # the history's midpoints (t < 0) all fall in block 0
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.4), steps * p3.r / 64)
+        assert y_traj.values.size - 1 - y_traj.delay_steps == steps
+        self._assert_identical(p3, y_traj, 2.0)
+
+    def test_constant_history(self, hopf_example):
+        n, beta0, k, delta = hopf_example
+        p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        eq = positive_equilibrium(p)
+        y_traj = integrate_y(p, ConstantHistory(1.01 * eq.y_star), 2 * _BLOCK_STEPS * p.r / 64)
+        self._assert_identical(p, y_traj, eq.x_star)
+
+    def test_delay_longer_than_block(self, p3):
+        # m = 5000 > _BLOCK_STEPS: the block grows to m steps
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.4), 3.0 * p3.r, dt=p3.r / 5000)
+        assert y_traj.delay_steps == 5000 > _BLOCK_STEPS
+        self._assert_identical(p3, y_traj, 1.0)
+
+    def test_ensemble_run_size(self, p3):
+        # the benchmark ensemble's runs: 40 delays at 32 steps, one block
+        y_traj = integrate_y(p3, eigenmode_history(p3, 0.4), 40.0 * p3.r, dt=p3.r / 32)
+        assert y_traj.values.size - 1 - y_traj.delay_steps == 1280
+        self._assert_identical(p3, y_traj, 1.0)
+
+    def test_failure_time_is_global_step(self):
+        # x starts at the largest double and barely decays (k near 2); a flux
+        # bump in block 2 pushes it to inf there, at a global step
+        p = ModelParams(n=2.0, beta0=2e306, delta=0.1, k=2.0 - 1e-12, r=1.0)
+        m, bump = 64, 2 * _BLOCK_STEPS + 100
+        values = np.zeros(m + 3 * _BLOCK_STEPS + 1)
+        values[m + bump + 1] = 1.0
+        y_traj = Trajectory(t0=-1.0, dt=1.0 / m, values=values, derivs=np.zeros(values.size))
+        with pytest.raises(IntegrationError) as blocked:
+            integrate_x(p, y_traj, sys.float_info.max)
+        with pytest.raises(IntegrationError) as onepass:
+            integrate_x_onepass(p, y_traj, sys.float_info.max)
+        assert blocked.value.last_valid_time == onepass.value.last_valid_time == bump / m
+
+    def test_peak_memory_is_output_plus_one_block(self, hopf_example):
+        # 400,000 steps on the worked example's grid; the one-pass form peaked
+        # at 19.2 MB here against 6.4 MB of output
+        n, beta0, k, delta = hopf_example
+        p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        m, steps = 64, 400_000
+        t = -p.r + (p.r / m) * np.arange(m + steps + 1)
+        y_traj = Trajectory(t0=-p.r, dt=p.r / m, values=1.0 + 0.1 * np.sin(t),
+                            derivs=0.1 * np.cos(t))
+        tracemalloc.start()
+        try:
+            x_traj = integrate_x(p, y_traj, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x_traj.values.size == steps + 1
+        assert peak <= x_traj.values.nbytes + x_traj.derivs.nbytes + 1e6
+
+
 class TestPeriodicResponse:
     def test_cosine_matches_linear_response(self, p3):
         # independent oracle: adaptive quadrature; closed form gamma/(gamma^2+W^2)
@@ -265,7 +342,7 @@ class TestWindowIntegralProperties:
         # max g = beta0 (n-1)^(1-1/n)/n (the n = 1 supremum beta0 included)
         p, y_traj = self._case(seed, period, a, phi)
         m = self.m
-        ones = _exp_simpson(p.gamma, y_traj.dt, np.ones(m + 1), np.ones(m), 0.0, 0.0)[-1]
+        ones = _exp_simpson(p.gamma, y_traj.dt, np.ones(m + 1), np.ones(m), np.zeros(m + 1))[-1]
         assert ones == pytest.approx(-math.expm1(-p.gamma * p.r) / p.gamma, rel=1e-9)
         g_max = p.beta0 * (p.n - 1.0) ** (1.0 - 1.0 / p.n) / p.n
         for t0 in y_traj.times[m::max(1, period // 4)]:
