@@ -29,7 +29,6 @@ from .model import (
     feedback,
     gamma_of,
     positive_equilibrium,
-    rhs_y,
 )
 from .linear_analysis import (
     CharacteristicRoot,
@@ -40,7 +39,6 @@ from .linear_analysis import (
     classify_positive,
     classify_trivial,
     leading_roots,
-    omega0,
 )
 from .hopf import (
     BautinRow,
@@ -63,9 +61,7 @@ from .dde_sim import (
     integrate_y,
 )
 from .x_solver import (
-    ConvergenceReport,
     PeriodicInit,
-    convergence_check,
     integrate_x,
     periodic_response,
     periodic_x0,

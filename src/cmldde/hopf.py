@@ -160,7 +160,9 @@ def _hopf_delay_cells(n: float, beta0: float, k: np.ndarray, delta: np.ndarray) 
     """hopf_delay broadcast over in-domain k and delta arrays, NaN wherever it raises.
 
     The same operations in the same order as b1_value and _threshold_pieces,
-    so a cell equals the scalar result up to np.arccos against math.acos.
+    so a cell equals the scalar result up to np.arccos against math.acos. The
+    scalar spelling stays for single points: one cell here took 25-33 us, and
+    hopf_delay 1.3-1.5 us (CPython 3.11, numpy 2.4, 2-vCPU Xeon VM).
     """
     with np.errstate(all="ignore"):
         b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)

@@ -92,19 +92,14 @@ def classify_trivial(params: ModelParams) -> StabilityVerdict:
                             {"renewal_ratio": ratio})
 
 
-def omega0(params: ModelParams) -> float:
-    """Root in (0, pi/r) of omega cot(omega r) = -(delta + b1).
+def _omega0(s_sum: float, r: float) -> float:
+    """Root in (0, pi/r) of omega cot(omega r) = -s_sum, s_sum = delta + b1.
 
-    Solved in u = omega r as cos u + (delta + b1) r sin(u)/u = 0 by bisection
+    Solved in u = omega r as cos u + s_sum r sin(u)/u = 0 by bisection
     on (0, pi), which is free of the scale of r; a root exists iff
-    1 + (delta + b1) r > 0, and RootNotFoundError is raised otherwise.
+    1 + s_sum r > 0, and RootNotFoundError is raised otherwise.
     ConditioningError is raised when omega = u/r leaves the double range.
     """
-    lin = b1_coefficient(params)
-    return _omega0(lin.sum_db1, params.r)
-
-
-def _omega0(s_sum: float, r: float) -> float:
     a = s_sum * r
     if not 1.0 + a > 0.0:
         raise RootNotFoundError(

@@ -1,9 +1,10 @@
-"""Core two-compartment delay model: parameters, feedback, right-hand sides.
+"""Core two-compartment delay model: parameters, feedback flux, equilibria.
 
 The resting-cell density y obeys a scalar delay equation driven by a
 Hill-type re-entry flux; the proliferating-cell density x is forced linearly
 by y and does not feed back. Everything downstream (stability classification,
-bifurcation boundaries, simulation) builds on the functions here.
+bifurcation boundaries, simulation) builds on the functions here; y's
+right-hand side is spelled in the RK4 kernel (_kernels), x's in x_solver.
 """
 
 from __future__ import annotations
@@ -112,23 +113,6 @@ def feedback(y, beta0: float, n: float):
     if (y < 0.0) if np.isscalar(y) else np.any(np.asarray(y) < 0.0):
         raise DomainError("feedback requires y >= 0")
     return beta0 * y / (1.0 + hill_pow(y, n))
-
-
-def rhs_y(y_now, y_delayed, params: ModelParams):
-    """Right-hand side of the resting-cell equation."""
-    loss = (params.beta0 / (1.0 + hill_pow(y_now, params.n)) + params.delta) * y_now
-    return -loss + params.k * feedback(y_delayed, params.beta0, params.n)
-
-
-def forcing(y_now, y_delayed, params: ModelParams):
-    """The y-dependent forcing of the x equation: feedback(y) - (k/2) feedback(y_delayed)."""
-    return flux_forcing(feedback(y_now, params.beta0, params.n),
-                        feedback(y_delayed, params.beta0, params.n), params)
-
-
-def flux_forcing(flux_now, flux_delayed, params: ModelParams):
-    """The x forcing from the re-entry fluxes at t and t - r (elementwise)."""
-    return flux_now - 0.5 * params.k * flux_delayed
 
 
 def equilibria(params: ModelParams) -> list[Equilibrium]:

@@ -1,8 +1,9 @@
 """The forced linear proliferating-cell equation, solved on top of a y trajectory.
 
 x obeys x'(t) = -gamma x(t) + F(t) with F(t) = g(y(t)) - (k/2) g(y(t-r)),
-where g is the re-entry flux feedback, so each step is propagated by the
-exact variation-of-constants formula
+where g is the re-entry flux feedback with y clamped at 0; _clamped_forcing
+is the package's one spelling of F. Each step is propagated by the exact
+variation-of-constants formula
 
     x(t+dt) = e^(-gamma dt) x(t) + int_t^{t+dt} e^(gamma (s-t-dt)) F(s) ds,
 
@@ -10,12 +11,11 @@ with the integral evaluated by Simpson's rule under the exact exponential
 weight. x is solved on y's own grid: integrate_y makes r a whole number m of
 steps, so y(t_i) and y(t_i - r) are stored nodes, and the Simpson midpoints
 are the Hermite interpolant at each step's centre, read from slices of the
-nodes; there is no dense-output read. The homogeneous part is
-exact, which makes the convergence-transfer statement about this formula
-directly testable, and removes any stability constraint from gamma.
-integrate_x runs in blocks of steps and forms the forcing, the midpoints and
-the Simpson increments for one block at a time, so a run's memory is its
-node arrays (y's and x's) plus one block, whatever its length.
+nodes; there is no dense-output read. The homogeneous part is exact, which
+removes any stability constraint from gamma. integrate_x forms the forcing,
+the midpoints and the Simpson increments one block of steps at a time, so a
+run's memory is its node arrays (y's and x's) plus one block. An overflow, in
+an increment or in the recursion, ends in IntegrationError.
 
 Because k/2 = e^(-gamma r), the equation integrates in closed form:
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningError, DomainError, IntegrationError, PreconditionError
-from .model import ModelParams, feedback, flux_forcing
+from .model import ModelParams, feedback
 from .dde_sim import _BLOCK_STEPS, Trajectory
 
 
@@ -53,22 +53,15 @@ class PeriodicInit:
     condition: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    sup_distance: float
-    decaying: bool
-    window_sups: tuple[float, float]
-
-
 def _clamped_flux(params: ModelParams, y: np.ndarray) -> np.ndarray:
     # stored or interpolated y may dip just below 0, where the flux is undefined
     return feedback(np.maximum(y, 0.0), params.beta0, params.n)
 
 
 def _clamped_forcing(params: ModelParams, y: np.ndarray, m: int) -> np.ndarray:
-    # forcing(y[m:], y[:-m]) from one Hill-flux pass (forcing is elementwise)
+    # the x forcing g(y(t)) - (k/2) g(y(t - r)) at y[m:], from one Hill-flux pass
     flux = _clamped_flux(params, y)
-    return flux_forcing(flux[m:], flux[:-m], params)
+    return flux[m:] - 0.5 * params.k * flux[:-m]
 
 
 def _exp_simpson(gamma, dt, f_nodes, f_half, u, lo=0, t_start=0.0):
@@ -78,7 +71,8 @@ def _exp_simpson(gamma, dt, f_nodes, f_half, u, lo=0, t_start=0.0):
     IntegrationError at t_start + dt * (step index in u) if u goes non-finite."""
     decay = math.exp(-gamma * dt)
     decay_half = math.exp(-0.5 * gamma * dt)
-    incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # exp_scan reports it below
+        incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])
     bad = _kernels.exp_scan(u[lo:lo + f_nodes.size], incr, decay)
     if bad >= 0:
         raise IntegrationError("x integration produced a non-finite value",
@@ -168,26 +162,3 @@ def periodic_x0(params: ModelParams, y_traj: Trajectory, t0: float) -> float:
     u = _exp_simpson(params.gamma, dt, g_nodes, g_half, np.zeros(m + 1), t_start=t0 - params.r)
     return float(u[-1])
 
-
-def convergence_check(
-    x_traj: Trajectory,
-    target: float,
-    window: tuple[float, float],
-) -> ConvergenceReport:
-    """Sup-distance from the target level over a trailing window, with a decay
-    flag that compares the sups of the two half-windows."""
-    t_lo, t_hi = window
-    if t_hi <= t_lo:
-        raise DomainError("empty window")
-    t, v = x_traj.window(t_lo, t_hi)
-    if t.size < 4:
-        raise PreconditionError("trajectory shorter than the requested window")
-    dist = np.abs(v - target)
-    mid = t_lo + 0.5 * (t_hi - t_lo)
-    first = dist[t < mid]
-    second = dist[t >= mid]
-    s1 = float(first.max()) if first.size else 0.0
-    s2 = float(second.max()) if second.size else 0.0
-    return ConvergenceReport(
-        sup_distance=float(dist.max()), decaying=s2 < s1, window_sups=(s1, s2)
-    )

@@ -1,19 +1,21 @@
 """Independent reference computations used to pin expected values.
 
 Everything here deliberately avoids the package's own integration and
-root-finding paths: the DDE oracle runs scipy's DOP853 interval by interval,
-the frequency oracle uses brentq on the bracketing form, the root oracles are
-a Newton sweep over a grid of seeds and the Lambert W branches evaluated as
-scipy's Wright omega on numpy arrays, the kernel references are plain
-numpy-scalar loops with the compiled kernels' contracts (plus the
-step-by-step pure-Python RK4 loop that the package kernel, which checks
-finiteness once per delay interval, must match bit for bit), scipy.signal's lfilter and find_peaks pin the x recursion and
-the peak picking bit for bit (imported inside the two functions, since the
-benchmark's ensemble check imports this module and must not load
-scipy.signal), the periodic x orbit has two references over one sampled y
-period (one wraps the delay through a periodic cubic spline and weights
-Simpson's rule by the exact exponential, the other shifts the delay in
-Fourier space), and the x reference re-interpolates y through the dense
+root-finding paths. The plain right-hand sides rhs_y and forcing live here:
+the package spells them only inside its solvers. The DDE oracle runs rhs_y
+through scipy's DOP853 interval by interval; the benchmark's ensemble check
+imports this module for it, so the module must import cleanly. The frequency
+oracle uses brentq on the bracketing form, the root oracles are a Newton
+sweep over a grid of seeds and the Lambert W branches evaluated as scipy's
+Wright omega on numpy arrays, the kernel references are plain numpy-scalar
+loops with the compiled kernels' contracts (plus the step-by-step pure-Python
+RK4 loop that the package kernel, which checks finiteness once per delay
+interval, must match bit for bit), scipy.signal's lfilter and find_peaks pin
+the x recursion and the peak picking bit for bit (imported inside the two
+functions, since the ensemble check must not load scipy.signal), the
+periodic x orbit has two references over one sampled y period (one wraps the
+delay through a periodic cubic spline and weights Simpson's rule by the exact
+exponential, the other shifts the delay in Fourier space), and the x reference re-interpolates y through the dense
 output at every node and midpoint instead of reading the stored nodes. The
 blocked x solver and CSV writer must match their one-pass forms bit for bit
 (the whole run's forcing and time grid formed at once).
@@ -37,15 +39,26 @@ from cmldde import (
     b1_coefficient,
     periodic_response,
     positive_equilibrium,
-    rhs_y,
 )
 from cmldde import _kernels
 from cmldde.dde_sim import Trajectory
 from cmldde.linear_analysis import MAX_ROOTS
-from cmldde.model import feedback, flux_forcing, forcing
+from cmldde.model import feedback, hill_pow
 
 #: Newton seed grid density for the root sweep (per axis)
 SEED_GRID = 40
+
+
+def rhs_y(y_now, y_delayed, params):
+    """Right-hand side of the resting-cell equation, in its plain spelling."""
+    loss = (params.beta0 / (1.0 + hill_pow(y_now, params.n)) + params.delta) * y_now
+    return -loss + params.k * feedback(y_delayed, params.beta0, params.n)
+
+
+def forcing(y_now, y_delayed, params):
+    """The y-dependent forcing of the x equation: feedback(y) - (k/2) feedback(y_delayed)."""
+    return (feedback(y_now, params.beta0, params.n)
+            - 0.5 * params.k * feedback(y_delayed, params.beta0, params.n))
 
 
 def dde_reference(params, history, t_end, rtol=1e-11, atol=1e-12):
@@ -396,8 +409,8 @@ def integrate_x_onepass(params, y_traj, x0):
     m = round(params.r / dt)
     flux = lambda y: feedback(np.maximum(y, 0.0), params.beta0, params.n)
     g_half, g_nodes = flux(y_traj._step_midpoints()), flux(y_traj.values)
-    f_half = flux_forcing(g_half[m:], g_half[:-m], params)
-    f_nodes = flux_forcing(g_nodes[m:], g_nodes[:-m], params)
+    f_half = g_half[m:] - 0.5 * params.k * g_half[:-m]
+    f_nodes = g_nodes[m:] - 0.5 * params.k * g_nodes[:-m]
     decay = math.exp(-params.gamma * dt)
     decay_half = math.exp(-0.5 * params.gamma * dt)
     incr = (dt / 6.0) * (decay * f_nodes[:-1] + 4.0 * decay_half * f_half + f_nodes[1:])

@@ -501,6 +501,21 @@ def _param_value():
     )
 
 
+#: ranges where the model's subcommands run to the end
+_IN_DOMAIN = {"n": (0.5, 12.0), "beta0": (0.1, 3.0), "delta": (1e-3, 0.2), "k": (1.0, 2.0),
+              "r": (0.05, 10.0)}
+
+
+def _model_values(domain_keys):
+    """Flag values all in the domain, or each in it or arbitrary; domain_keys
+    maps a flag name to its _IN_DOMAIN key."""
+    def values(arbitrary):
+        return st.fixed_dictionaries({
+            flag: st.one_of(st.floats(*_IN_DOMAIN[key]), _param_value()) if arbitrary
+            else st.floats(*_IN_DOMAIN[key]) for flag, key in domain_keys.items()})
+    return st.one_of(values(False), values(True))
+
+
 def _values(*values):
     return dict(zip(_PARAM_KEYS, values))
 
@@ -521,22 +536,64 @@ class TestArbitraryParameters:
         fmt=st.sampled_from(["csv", "json"]),
     )
     def test_exit_code_documented(self, command, values, fmt):
-        argv = [command, "--format", fmt]
-        # one --flag=value token: argparse reads a separate "-1e-3" as a flag
-        argv += [f"--{key}={value!r}" for key, value in values.items()]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            text = out.getvalue()
-            if fmt == "json":
-                numbers = _json_numbers(json.loads(text))
-            else:
-                cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
-                numbers = [float(c) for c in cells if _is_number(c)]
-            assert all(math.isfinite(x) for x in numbers), (argv, text)
+        _assert_documented_exit([command, "--format", fmt], values, fmt)
+
+    # t_end is at most 20 r and dt at least r/64, so a run has at most 1,280
+    # steps; a surface has at most 20 x 20 cells
+    @settings(max_examples=300, deadline=None)
+    # y'(0) overflows at this history level: exit 4, as in the CI workflow's run
+    @example("simulate", _values(1.0, 2.5, 8.0, 1.5, 1.0), "constant", 5e307, 5.0, 1.0, 1)
+    @example("x-sim", _values(1.0, 2.5, 8.0, 1.5, 1.0), "constant", 5e307, 5.0, 1.0, 1)
+    @given(
+        command=st.sampled_from(["simulate", "x-sim"]),
+        values=_model_values({key: key for key in _PARAM_KEYS}),
+        history=st.sampled_from(["constant", "eigenmode"]),
+        start=st.one_of(st.floats(min_value=0.0, max_value=3.0), _param_value()),
+        t_factor=st.one_of(st.floats(min_value=0.01, max_value=20.0),
+                           st.sampled_from([math.nan, math.inf, 0.0, -1.0])),
+        dt_factor=st.sampled_from([None, 1.0, 1.0 / 3.0, 1.0 / 64.0, 0.0, math.nan]),
+        stride=st.integers(min_value=0, max_value=4),
+    )
+    def test_exit_code_documented_runs(self, command, values, history, start, t_factor,
+                                       dt_factor, stride):
+        argv = [command, "--history", history, f"--t-end={t_factor * values['r']!r}",
+                f"--stride={stride}", f"--{'level' if history == 'constant' else 'c'}={start!r}"]
+        if dt_factor is not None:
+            argv.append(f"--dt={dt_factor * values['r']!r}")
+        if command == "x-sim":
+            argv.append(f"--x0={start!r}")
+        _assert_documented_exit(argv, values, "csv")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=_model_values({"n": "n", "beta0": "beta0", "k-min": "k", "k-max": "k",
+                              "delta-min": "delta", "delta-max": "delta"}),
+        resolution=st.integers(min_value=0, max_value=20),
+        ordered=st.booleans(),
+    )
+    def test_exit_code_documented_surface(self, values, resolution, ordered):
+        for lo, hi in (("k-min", "k-max"), ("delta-min", "delta-max")):
+            if ordered and values[hi] < values[lo]:
+                values[lo], values[hi] = values[hi], values[lo]
+        _assert_documented_exit(["hopf-surface", f"--resolution={resolution}"], values, "csv")
+
+
+def _assert_documented_exit(argv, values, fmt):
+    # one --flag=value token: argparse reads a separate "-1e-3" as a flag
+    argv = argv + [f"--{key}={value!r}" for key, value in values.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        text = out.getvalue()
+        if fmt == "json":
+            numbers = _json_numbers(json.loads(text))
+        else:
+            cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+            numbers = [float(c) for c in cells if _is_number(c)]
+        assert all(math.isfinite(x) for x in numbers), (argv, text)
 
 
 def _is_number(cell):

@@ -22,9 +22,8 @@ from cmldde import (
     positive_equilibrium,
 )
 from cmldde import _kernels, dde_sim
-from cmldde.model import rhs_y
 from conftest import HoledHistory, sample_params
-from _oracles import dde_reference, write_csv_onepass
+from _oracles import dde_reference, rhs_y, write_csv_onepass
 
 
 class TestHistories:

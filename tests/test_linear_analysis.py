@@ -21,7 +21,6 @@ from cmldde import (
     hopf_delay,
     hopf_point,
     leading_roots,
-    omega0,
 )
 from cmldde.linear_analysis import MAX_ROOTS, _omega0, _wright_omega
 from conftest import sample_params
@@ -60,10 +59,11 @@ class TestOmega0:
         # delta + b1 = 0 exactly at these dyadic parameters
         p = ModelParams(n=2, beta0=1.0, delta=0.125, k=1.5, r=3.0)
         assert b1_coefficient(p).sum_db1 == 0.0
-        assert omega0(p) == pytest.approx(math.pi / (2.0 * 3.0), rel=1e-12)
+        w = _omega0(b1_coefficient(p).sum_db1, p.r)
+        assert w == pytest.approx(math.pi / (2.0 * 3.0), rel=1e-12)
 
     def test_reference_point(self, p3):
-        w0 = omega0(p3)
+        w0 = _omega0(b1_coefficient(p3).sum_db1, p3.r)
         oracle = omega0_reference(b1_coefficient(p3).sum_db1, p3.r)
         assert w0 == pytest.approx(oracle, abs=1e-12)
         assert abs(w0 - 0.0277) < 1e-4

@@ -16,10 +16,10 @@ from cmldde import (
     feedback,
     gamma_of,
     positive_equilibrium,
-    rhs_y,
 )
-from cmldde.model import forcing, hill_pow
+from cmldde.model import hill_pow
 from conftest import sample_params
+from _oracles import forcing, rhs_y
 
 
 class TestGammaOf:
