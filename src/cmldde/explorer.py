@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConditioningError, PreconditionError
 from .model import ModelParams, positive_equilibrium
 from .linear_analysis import StabilityState, classify_positive
 from .hopf import hopf_delay
@@ -377,9 +377,10 @@ def criticality_probe(
     r = r_H + offset for each offset. Supercritical: sub-threshold offsets
     converge, super-threshold offsets settle on small steady cycles whose
     squared amplitude grows linearly in the offset (least-squares R^2 >= 0.9
-    over >= 3 points).
+    over >= 3 points). A repeated offset is probed once; super-threshold
+    offsets too close together to fit a slope raise ConditioningError.
     """
-    offsets = sorted(float(o) for o in offsets)
+    offsets = sorted({float(o) for o in offsets})
     if not offsets or offsets[0] >= 0.0 or offsets[-1] <= 0.0:
         raise PreconditionError("offsets must straddle 0")
     r_h = hopf_delay(n, beta0, k, delta)  # NoHopfError when undefined
@@ -405,7 +406,10 @@ def criticality_probe(
     if len(above) >= 2:
         x = np.array([p.offset for p in above])
         y = np.array([p.amplitude**2 for p in above])
-        slope_, intercept_ = np.polyfit(x, y, 1)
+        with np.errstate(all="ignore"):  # offsets too close or too small show as rank < 2
+            (slope_, intercept_), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+        if rank < 2:
+            raise ConditioningError(f"offsets {x.tolist()} are too close to fit a slope")
         resid = y - (slope_ * x + intercept_)
         ss_tot = float(np.sum((y - y.mean()) ** 2))
         r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 0.0

@@ -1,20 +1,18 @@
 """Delay thresholds for oscillatory instability and codimension-two reference data.
 
 For b1 < 0 the positive equilibrium loses stability when the delay reaches
-
-    r_H = arccos((delta + b1)/(k b1)) / sqrt((k b1)^2 - (delta + b1)^2),
-
-at which point a conjugate root pair sits at +/- i omega_H with
-omega_H = sqrt((k b1)^2 - (delta + b1)^2). This module evaluates that
-boundary pointwise and on grids, and ships the tabulated codimension-two
-(degenerate-criticality) points used as golden data by the verification
-command.
+r_H = theta/omega_H, where theta = arccos((delta + b1)/(k b1)) and a root pair
+sits at +/- i omega_H, omega_H = sqrt((k b1)^2 - (delta + b1)^2). This module
+evaluates that boundary pointwise and on grids, with one spelling of theta and
+omega_H for both (crossing_terms), and ships the tabulated codimension-two
+(degenerate-criticality) points used as golden data by the verification command.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -23,13 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, DomainError, NoHopfError, PreconditionError
-from .model import ModelParams, b1_value, check_rates
+from .model import ModelParams, b1_terms, check_rates, checked_b1_terms
 
 # surface_grid rejects larger grids before allocating; matches dde_sim.MAX_NODES
 MAX_SURFACE_CELLS = 2**24
 
 # cells per surface_grid block, which bounds the temporaries of one pass
 _SURFACE_BLOCK = 2**14
+
+# smallest normal positive double, bound once: the point path reads it per call
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,16 @@ class HopfSurface:
     r_hopf: np.ndarray  # shape (len(k), len(delta))
 
 
-def _crossing_frequency(s_sum: float, k_b1: float) -> float:
-    """omega_H = sqrt((k b1)^2 - (delta + b1)^2) for s_sum = delta + b1 and k_b1 = k b1.
+def crossing_terms(s_sum, k_b1, acos, sqrt):
+    """(theta, omega_H) of the module docstring for s_sum = delta + b1, k_b1 = k b1, with acos
+    and sqrt from the caller: math's for a point of floats, numpy's for a grid of arrays."""
+    return acos(s_sum / k_b1), sqrt(k_b1 * k_b1 - s_sum * s_sum)
 
-    Raises ConditioningError when the squares overflow, underflow or cancel so
-    far that omega_H is not a normal positive double. A normal omega_H keeps
-    r_H = theta/omega_H finite for every theta in [0, pi].
-    """
-    omega_h = math.sqrt(k_b1 * k_b1 - s_sum * s_sum)
-    if not sys.float_info.min <= omega_h < math.inf:
+
+def normal_omega(omega_h: float) -> float:
+    """omega_h, or ConditioningError when it is not a normal positive double (the squares
+    under it overflowed, underflowed or cancelled); a normal omega_H keeps r_H finite."""
+    if not _MIN_NORMAL <= omega_h < math.inf:
         raise ConditioningError(
             f"crossing frequency omega_H = {omega_h} is not a normal positive double"
         )
@@ -87,22 +89,21 @@ def _crossing_frequency(s_sum: float, k_b1: float) -> float:
 
 
 def _threshold_pieces(n: float, beta0: float, k: float, delta: float) -> tuple[float, float]:
-    """(arccos term, radical omega_H); raises DomainError outside the model's
-    parameter domain, NoHopfError when undefined and ConditioningError when
+    """(theta, omega_H); raises DomainError outside the model's parameter
+    domain, NoHopfError when undefined and ConditioningError when b1 or
     omega_H is out of range. numpy scalars are taken as Python floats."""
     n, beta0, k, delta = float(n), float(beta0), float(k), float(delta)
     check_rates(n, beta0, delta, k)
-    b1 = b1_value(n, beta0, k, delta)
+    b1, s_sum, k_b1 = checked_b1_terms(n, beta0, k, delta)
     if b1 >= 0.0:
         raise NoHopfError(f"b1 = {b1:.6g} >= 0: no delay-induced instability")
-    s_sum = delta + b1
-    k_b1 = k * b1
-    ratio = s_sum / k_b1
-    if not (-1.0 < ratio < 1.0):
+    # k b1 < 0; division is monotone, so the ratio rounds into (-1, 1) iff this holds
+    if not k_b1 < s_sum < -k_b1:
         raise NoHopfError(
-            f"(delta + b1)/(k b1) = {ratio:.6g} outside (-1, 1): no crossing frequency"
+            f"(delta + b1)/(k b1) = {s_sum / k_b1:.6g} outside (-1, 1): no crossing frequency"
         )
-    return math.acos(ratio), _crossing_frequency(s_sum, k_b1)
+    theta, omega_h = crossing_terms(s_sum, k_b1, math.acos, math.sqrt)
+    return theta, normal_omega(omega_h)
 
 
 def hopf_delay(n: float, beta0: float, k: float, delta: float) -> float:
@@ -138,7 +139,10 @@ def surface_grid(
     Range endpoints outside the model's parameter domain raise DomainError.
     The grid is evaluated in numpy, a block of rows at a time.
     """
-    nk, nd = (resolution, resolution) if isinstance(resolution, int) else resolution
+    try:  # one size for both axes, or one per axis
+        nk, nd = map(operator.index, resolution if np.ndim(resolution) else (resolution,) * 2)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"grid resolution must be integers, got {resolution!r}") from None
     if nk < 2 or nd < 2:
         raise PreconditionError("grid resolution must be >= 2 per axis")
     if nk * nd > MAX_SURFACE_CELLS:
@@ -159,21 +163,16 @@ def surface_grid(
 def _hopf_delay_cells(n: float, beta0: float, k: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """hopf_delay broadcast over in-domain k and delta arrays, NaN wherever it raises.
 
-    The same operations in the same order as b1_value and _threshold_pieces,
-    so a cell equals the scalar result up to np.arccos against math.acos. The
-    scalar spelling stays for single points: one cell here took 25-33 us, and
-    hopf_delay 1.3-1.5 us (CPython 3.11, numpy 2.4, 2-vCPU Xeon VM).
+    It runs the point path's b1_terms and crossing_terms on arrays, with numpy's arccos
+    and sqrt, so a cell equals hopf_delay up to np.arccos against math.acos. One mask
+    stands for the point checks: a normal omega_H implies |(delta + b1)/(k b1)| < 1.
     """
     with np.errstate(all="ignore"):
-        b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
-        s_sum = delta + b1
-        k_b1 = k * b1
-        ratio = s_sum / k_b1
-        omega_h = np.sqrt(k_b1 * k_b1 - s_sum * s_sum)
-        r_h = np.arccos(ratio) / omega_h
-        ok = (beta0 * (k - 1.0) / delta > 1.0) & (b1 < 0.0) & (np.abs(ratio) < 1.0)
-    ok &= (sys.float_info.min <= omega_h) & (omega_h < math.inf) & np.isfinite(r_h)
-    return np.where(ok, r_h, np.nan)
+        b1, s_sum, k_b1 = b1_terms(n, beta0, k, delta)
+        theta, omega_h = crossing_terms(s_sum, k_b1, np.arccos, np.sqrt)
+        ok = (beta0 * (k - 1.0) / delta > 1.0) & (b1 < 0.0)
+        ok &= (_MIN_NORMAL <= omega_h) & (omega_h < math.inf)
+        return np.where(ok, theta / omega_h, np.nan)
 
 
 def load_bautin_table(path=None) -> list[BautinRow]:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConditioningError, PreconditionError, RootNotFoundError
-from .hopf import _crossing_frequency
+from .hopf import crossing_terms, normal_omega
 from .model import ModelParams, b1_coefficient
 
 #: absolute tolerance for the measure-zero marginal case of the trivial branch
@@ -148,9 +149,9 @@ def classify_positive(params: ModelParams) -> StabilityVerdict:
     if s_sum > abs(k_b1):
         return StabilityVerdict(StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_5, detail)
 
-    # k b1 < 0 here; for delta + b1 < 0, |delta + b1| < |k b1| automatically
-    # (k > 1 and delta > 0), so the ratio lies in [-1, 1] up to roundoff
-    theta = math.acos(max(-1.0, min(1.0, s_sum / k_b1)))
+    # k b1 < 0 here, and |delta + b1| <= |k b1| (for delta + b1 < 0 because
+    # k > 1 and delta > 0), so the ratio lies in [-1, 1]: rounding is monotone
+    theta, omega_h = crossing_terms(s_sum, k_b1, math.acos, math.sqrt)
     detail["arccos_ratio"] = theta
     if s_sum > 0.0 or r < 1.0 / abs(s_sum):
         w0 = _omega0(s_sum, r)
@@ -164,7 +165,7 @@ def classify_positive(params: ModelParams) -> StabilityVerdict:
                 StabilityState.ASYMPTOTICALLY_STABLE, VerdictSource.P2_5, detail
             )
     if s_sum < abs(k_b1):
-        r_h = theta / _crossing_frequency(s_sum, k_b1)
+        r_h = theta / normal_omega(omega_h)
         detail["r_hopf"] = r_h
         if r > r_h:
             return StabilityVerdict(StabilityState.UNSTABLE, VerdictSource.HOPF_EXCEEDED, detail)
@@ -265,6 +266,10 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
     count = 1000 and 0.1 s at MAX_ROOTS, against the 0.4 s it takes a process
     to import scipy.special.
     """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise PreconditionError(f"count must be an integer, got {count!r}") from None
     if not 1 <= count <= MAX_ROOTS:
         raise PreconditionError(f"count must be in [1, {MAX_ROOTS}], got {count}")
     lin = b1_coefficient(params)

@@ -148,25 +148,33 @@ def positive_equilibrium(params: ModelParams) -> Equilibrium:
     )
 
 
-def b1_value(n: float, beta0: float, k: float, delta: float) -> float:
-    """Feedback slope at the positive equilibrium, in closed form.
+def b1_terms(n, beta0, k, delta):
+    """(b1, delta + b1, k b1), where b1 = (delta/(k-1)) [n delta / (beta0 (k-1)) - n + 1] is
+    the feedback slope at the positive equilibrium. Unchecked operator arithmetic: Python
+    floats give a point (checked_b1_terms checks one) and numpy arrays a grid."""
+    b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
+    return b1, delta + b1, k * b1
 
-    b1 = (delta/(k-1)) [n delta / (beta0 (k-1)) - n + 1]; valid whenever the
-    positive equilibrium exists; ConditioningError when it is not finite.
-    """
-    n, beta0, k, delta = float(n), float(beta0), float(k), float(delta)
+
+def checked_b1_terms(n: float, beta0: float, k: float, delta: float) -> tuple[float, float, float]:
+    """b1_terms at a point of Python floats: PreconditionError unless the positive
+    equilibrium exists, ConditioningError when b1 is not finite."""
     if beta0 * (k - 1.0) / delta <= 1.0:
         raise PreconditionError("b1 is defined only when the positive equilibrium exists")
-    b1 = (delta / (k - 1.0)) * (n * delta / (beta0 * (k - 1.0)) - n + 1.0)
-    if not math.isfinite(b1):
-        raise ConditioningError(f"feedback slope b1 = {b1} is not finite")
-    return b1
+    terms = b1_terms(n, beta0, k, delta)
+    if not math.isfinite(terms[0]):
+        raise ConditioningError(f"feedback slope b1 = {terms[0]} is not finite")
+    return terms
+
+
+def b1_value(n: float, beta0: float, k: float, delta: float) -> float:
+    """Feedback slope at the positive equilibrium, checked as checked_b1_terms does."""
+    return checked_b1_terms(float(n), float(beta0), float(k), float(delta))[0]
 
 
 def b1_coefficient(params: ModelParams) -> LinearizationData:
     """Linearization data at the positive equilibrium; ConditioningError when not finite."""
-    b1 = b1_value(params.n, params.beta0, params.k, params.delta)
-    lin = LinearizationData(b1=b1, sum_db1=params.delta + b1, k_b1=params.k * b1)
+    lin = LinearizationData(*checked_b1_terms(params.n, params.beta0, params.k, params.delta))
     if not (math.isfinite(lin.sum_db1) and math.isfinite(lin.k_b1)):
         raise ConditioningError(f"delta + b1 = {lin.sum_db1} or k b1 = {lin.k_b1} is not finite")
     return lin

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cmldde import hopf_delay
 from cmldde.cli import _PARAM_KEYS, build_parser, main
 
 P3 = ["--n", "2", "--beta0", "2.5", "--delta", "0.0015", "--k", "1.01", "--r", "7.55"]
@@ -520,6 +521,53 @@ def _values(*values):
     return dict(zip(_PARAM_KEYS, values))
 
 
+#: a box around the worked example (n, beta0, delta, k) = (12, 1.77, 0.05, 1.18074)
+_NEAR_EXAMPLE = {"n": (11.0, 12.0), "beta0": (1.6, 1.9), "delta": (0.04, 0.06),
+                 "k": (1.15, 1.2), "r": (0.3, 0.5)}
+
+#: horizon and step as multiples of the delay: a probe run has at most 1,280 steps;
+#: one horizon in four is out of range
+_HORIZON_FACTORS = st.one_of(*[st.floats(min_value=0.001, max_value=20.0)] * 3,
+                             st.sampled_from([math.nan, math.inf, 0.0, -1.0]))
+_DT_FACTORS = st.sampled_from([None, 1.0, 1.0 / 3.0, 1.0 / 64.0])
+_AMPLITUDES = st.one_of(st.floats(min_value=0.0, max_value=3.0), _param_value())
+
+
+@st.composite
+def _probe_cases(draw):
+    """(argv, model flags) of zone, criticality or bistability at bounded cost:
+    horizon and dt in multiples of r (of r_H for criticality, whose delays are
+    r_H + offset with |offset| <= r_H/10), at most 3 amplitudes or offsets, and
+    a bisection tolerance of at least 1/64 of the bracket."""
+    command = draw(st.sampled_from(["zone", "criticality", "bistability"]))
+    keys = _PARAM_KEYS[:4] if command == "criticality" else _PARAM_KEYS
+    # the probes need an oscillatory leading root: two draws in three near the worked example
+    near = st.fixed_dictionaries({key: st.floats(*_NEAR_EXAMPLE[key]) for key in keys})
+    values = draw(st.one_of(near, near, _model_values({key: key for key in keys})))
+    scale = values.get("r")
+    if command == "criticality":
+        try:
+            scale = hopf_delay(values["n"], values["beta0"], values["k"], values["delta"])
+        except (ValueError, RuntimeError):  # the command fails alike, before any run
+            scale = 1.0
+        offsets = [draw(st.floats(min_value=-0.1, max_value=-0.001))] + draw(
+            st.lists(st.floats(min_value=0.001, max_value=0.1), min_size=1, max_size=2))
+        argv = [f"--offsets={','.join(repr(o * scale) for o in offsets)}"]
+    elif command == "zone":
+        amplitudes = draw(st.lists(_AMPLITUDES, min_size=1, max_size=3))
+        argv = [f"--c-values={','.join(map(repr, amplitudes))}"]
+    else:
+        c_lo = draw(_AMPLITUDES)
+        c_hi = c_lo + draw(st.one_of(st.floats(min_value=0.001, max_value=3.0), _param_value()))
+        tol = (c_hi - c_lo) / draw(st.floats(min_value=1.0, max_value=64.0))
+        argv = [f"--c-lo={c_lo!r}", f"--c-hi={c_hi!r}", f"--tol={tol!r}"]
+    argv.append(f"--horizon={draw(_HORIZON_FACTORS) * scale!r}")
+    dt_factor = draw(_DT_FACTORS)
+    if dt_factor is not None:
+        argv.append(f"--dt={dt_factor * scale!r}")
+    return [command, *argv], values
+
+
 class TestArbitraryParameters:
     """Any parameter values end in a documented exit code, never in a traceback."""
 
@@ -576,6 +624,14 @@ class TestArbitraryParameters:
             if ordered and values[hi] < values[lo]:
                 values[lo], values[hi] = values[hi], values[lo]
         _assert_documented_exit(["hopf-surface", f"--resolution={resolution}"], values, "csv")
+
+    @settings(max_examples=400, deadline=None)
+    # the CI workflow's run: a horizon of a fraction of one step exits 2
+    @example((["zone", "--c-values=0.05", "--horizon=0.001"],
+              _values(12.0, 1.77, 0.05, 1.18074, 0.36)))
+    @given(case=_probe_cases())
+    def test_exit_code_documented_probes(self, case):
+        _assert_documented_exit(*case, "json")
 
 
 def _assert_documented_exit(argv, values, fmt):

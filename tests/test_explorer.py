@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmldde import (
+    ConditioningError,
     ConstantHistory,
     IntegrationError,
     ModelParams,
@@ -200,6 +201,17 @@ class TestCriticality:
         n, beta0, k, delta = hopf_example
         with pytest.raises(PreconditionError):
             criticality_probe(n, beta0, k, delta, [0.0004, 0.0008], 500.0)
+
+    def test_repeated_offset_is_one_probe(self, hopf_example):
+        # two equal super-threshold offsets made a rank-deficient fit (RankWarning)
+        once = criticality_probe(*hopf_example, [-1e-4, 4e-4], 20.0)
+        assert criticality_probe(*hopf_example, [4e-4, -1e-4, 4e-4], 20.0) == once
+        assert len(once.points) == 2 and once.slope is None
+
+    def test_offsets_too_close_to_fit(self, hopf_example):
+        offsets = [-1e-4, 4e-4, math.nextafter(4e-4, 1.0)]
+        with pytest.raises(ConditioningError, match="too close"):
+            criticality_probe(*hopf_example, offsets, 20.0)
 
 
 class TestZones:

@@ -128,6 +128,18 @@ class TestSurfaceGrid:
         with pytest.raises(DomainError, match=message):
             surface_grid(2, 0.5, k_range, delta_range, 2)
 
+    @pytest.mark.parametrize("resolution", [np.int64(5), (np.int64(5), 5), np.array([5, 5])])
+    def test_numpy_integer_resolution(self, resolution):
+        expected = surface_grid(2, 0.5, (1.1, 1.9), (0.01, 0.02), 5).r_hopf
+        got = surface_grid(2, 0.5, (1.1, 1.9), (0.01, 0.02), resolution).r_hopf
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("resolution", [5.0, (5, 5.0), "5", None, (5, 5, 5), (5,)])
+    def test_non_integer_resolution(self, resolution):
+        # the package's own error, not a TypeError or ValueError from unpacking
+        with pytest.raises(PreconditionError, match="must be integers"):
+            surface_grid(2, 0.5, (1.1, 1.9), (0.01, 0.02), resolution)
+
     def test_matches_per_cell_threshold(self):
         # random grids crossing the existence, b1 = 0 and |ratio| = 1 boundaries,
         # against hopf_delay cell by cell: the same NaN cells and values within

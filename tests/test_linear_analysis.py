@@ -386,6 +386,14 @@ class TestLeadingRoots:
             leading_roots(p3, MAX_ROOTS + 1)
         assert len(leading_roots(p3, 50)) == 50
 
+    def test_count_numpy_integer(self, p3):
+        assert leading_roots(p3, np.int64(3)) == leading_roots(p3, 3)
+
+    @pytest.mark.parametrize("count", [2.0, "2", None])
+    def test_count_non_integer(self, p3, count):
+        with pytest.raises(PreconditionError, match="count must be an integer"):
+            leading_roots(p3, count)
+
     def test_agreement_with_classifier(self):
         # decisive classifier verdicts must match the spectrum sign
         rng = np.random.default_rng(42)

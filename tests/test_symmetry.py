@@ -1,0 +1,104 @@
+"""Time-rescaling covariance, bit for bit.
+
+Mapping t -> t/a and (beta0, delta, r) -> (a beta0, a delta, r/a), with n and k
+fixed, maps solutions to solutions: y_a(t) = y(a t). For a = 2^j every product
+and quotient with a is exact in binary floating point, so each layer below must
+be covariant to the last bit: rates scale by a, delays and times by 1/a, and
+states and verdicts are invariant. Horizons stay within 10 r, and initial data
+stay clear of the subnormal range, where scaling by a rounds.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cmldde import (
+    ConstantHistory,
+    ModelParams,
+    b1_coefficient,
+    classify_positive,
+    hopf_delay,
+    hopf_omega,
+    integrate_x,
+    integrate_y,
+    periodic_x0,
+    surface_grid,
+)
+from conftest import sample_params
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SCALES = st.integers(min_value=-3, max_value=3).map(lambda j: 2.0**j)
+#: 0 or far above the subnormal range, as are the derivatives they give
+LEVELS = st.one_of(st.just(0.0), st.floats(1e-100, 3.0))
+
+
+def _pair(seed, a):
+    p = sample_params(np.random.default_rng(seed))
+    return p, ModelParams(n=p.n, beta0=a * p.beta0, delta=a * p.delta, k=p.k, r=p.r / a)
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except Exception as exc:  # compared by class: both scales must raise alike
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, a=SCALES)
+def test_linearization_rates_scale(seed, a):
+    p, q = _pair(seed, a)
+    lin_p, lin_q = b1_coefficient(p), b1_coefficient(q)
+    assert (lin_q.b1, lin_q.sum_db1, lin_q.k_b1) == (a * lin_p.b1, a * lin_p.sum_db1,
+                                                     a * lin_p.k_b1)
+    assert q.gamma == a * p.gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, a=SCALES)
+def test_hopf_threshold_scales(seed, a):
+    p, q = _pair(seed, a)
+    for func, power in ((hopf_delay, -1), (hopf_omega, 1)):
+        at_p = _outcome(func, p.n, p.beta0, p.k, p.delta)
+        at_q = _outcome(func, q.n, q.beta0, q.k, q.delta)
+        if isinstance(at_p, type):
+            assert at_q is at_p
+        else:
+            assert at_q == at_p * a**power
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, a=SCALES, k_span=st.floats(0.01, 0.9), d_span=st.floats(1.1, 20.0),
+       resolution=st.tuples(st.integers(2, 12), st.integers(2, 12)))
+def test_surface_grid_scales(seed, a, k_span, d_span, resolution):
+    p, q = _pair(seed, a)
+    k_range = (p.k - k_span / 2, min(2.0, p.k + k_span / 2))
+    at_p = surface_grid(p.n, p.beta0, k_range, (p.delta / d_span, p.delta * d_span), resolution)
+    at_q = surface_grid(q.n, q.beta0, k_range, (q.delta / d_span, q.delta * d_span), resolution)
+    assert np.array_equal(at_q.delta, a * at_p.delta)
+    assert np.array_equal(at_q.r_hopf, at_p.r_hopf / a, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, a=SCALES)
+def test_classifier_invariant(seed, a):
+    p, q = _pair(seed, a)
+    at_p, at_q = _outcome(classify_positive, p), _outcome(classify_positive, q)
+    if isinstance(at_p, type):
+        assert at_q is at_p
+    else:
+        assert (at_q.state, at_q.source) == (at_p.state, at_p.source)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, a=SCALES, level=LEVELS, delays=st.floats(0.5, 10.0), x0=LEVELS)
+def test_runs_covariant(seed, a, level, delays, x0):
+    # y values, x values and periodic_x0 are invariant; derivatives scale by a
+    p, q = _pair(seed, a)
+    y_p = integrate_y(p, ConstantHistory(level), delays * p.r)
+    y_q = integrate_y(q, ConstantHistory(level), delays * p.r / a)
+    assert np.array_equal(y_q.values, y_p.values)
+    assert np.array_equal(y_q.derivs, a * y_p.derivs)
+    x_p, x_q = integrate_x(p, y_p, x0), integrate_x(q, y_q, x0)
+    assert np.array_equal(x_q.values, x_p.values)
+    assert np.array_equal(x_q.derivs, a * x_p.derivs)
+    assert periodic_x0(q, y_q, y_q.t_end) == periodic_x0(p, y_p, y_p.t_end)
