@@ -9,16 +9,20 @@ genuine convergence within a feasible horizon.
 
 CPU use: the probes of one driver call that do not depend on each other (every
 offset of criticality_probe, every amplitude of zone_classify, the two
-endpoints of bistability_scan) run in forked worker processes, up to one per
-usable CPU, and return only their small ProbeResults. The results are
-identical to a serial run; `taskset` restricts the CPUs, and a single usable
-CPU, a platform without fork or a daemonic process runs them in-process.
+endpoints of bistability_scan) run in bare forked worker processes, up to one
+per usable CPU and each with a strided share of the probes, and send back only
+their small ProbeResults through a pipe; no process pool and no thread is
+started. The results are identical to a serial run; `taskset` restricts the
+CPUs, and a single usable CPU, a platform without fork or a daemonic process
+runs them in-process.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -278,30 +282,104 @@ def _probe(params: ModelParams, c: float, horizon: float, dt, y_star: float) -> 
     return ProbeResult(c=c, orbit=classify_orbit(traj, y_star, horizon))
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, the __cause__ of the exception it raised."""
+
+
+def _run_worker(jobs: list, fd: int) -> None:
+    # in a forked child: run the jobs until one fails, pickle the outcomes
+    # (ok, result or (exception, traceback)) to fd and exit without cleanup
+    code = 1
+    try:
+        outcomes = []
+        for job in jobs:
+            try:
+                outcomes.append((True, _probe(*job)))
+            except Exception as exc:
+                import traceback
+
+                outcomes.append((False, (exc, "".join(traceback.format_exception(exc)))))
+                break
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcomes))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_outcomes(jobs: list, workers: int) -> list:
+    # each worker's outcome list, or its exit code (-signal) when it died
+    # before reporting; every child is reaped on every path
+    pids, pipes, outcomes = [], [], []
+    try:
+        for w in range(workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_worker(jobs[w::workers], wfd)
+            os.close(wfd)
+            pids.append(pid)
+            pipes.append(os.fdopen(rfd, "rb"))
+        for pid, pipe in zip(pids, pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcomes.append(pickle.loads(data) if code == 0 else code)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        unreaped = pids[len(outcomes):]
+        if unreaped:  # interrupted
+            import signal
+
+            for pid in unreaped:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # reaped just before the interruption
+    return outcomes
+
+
 def _probe_map(jobs: list) -> Iterator[ProbeResult]:
     """_probe(*job) for each job, in job order; a failing job's exception is
     raised when the iterator reaches it, as a serial loop would raise it.
 
-    Forks min(len(jobs), usable CPUs) workers and closes the pool before the
-    first result is read. With one worker, without fork, or in a daemonic
-    process (which may not have children) the jobs run lazily in-process.
+    Forks W = min(len(jobs), usable CPUs) bare worker processes (no pool, no
+    thread). Worker w runs jobs w, w + W, ..., stops after its first failing
+    job and sends its outcomes back through its own pipe; the parent runs no
+    probe, reads every pipe and reaps every worker before the first result is
+    returned. A worker's exception carries the worker's traceback as a
+    _RemoteTraceback __cause__; a worker that dies before reporting raises
+    RuntimeError at its first job. With one worker, without fork, or in a
+    daemonic process (which may not have children) the jobs run lazily
+    in-process.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = min(len(jobs), cpus)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    mp = sys.modules.get("multiprocessing")  # only a loaded one can have made us a daemon
+    if workers < 2 or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
+        return (_probe(*job) for job in jobs)
+    return _in_job_order(_forked_outcomes(jobs, workers), len(jobs))
 
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                futures = [pool.submit(_probe, *job) for job in jobs]
-            return (future.result() for future in futures)
-    return (_probe(*job) for job in jobs)
+
+def _in_job_order(outcomes: list, count: int) -> Iterator[ProbeResult]:
+    workers = len(outcomes)
+    for i in range(count):
+        w, j = i % workers, i // workers
+        reported = outcomes[w]
+        if isinstance(reported, int):
+            how = (f"was killed by signal {-reported}" if reported < 0
+                   else f"exited with code {reported}")
+            raise RuntimeError(f"probe worker {w} {how} before reporting job {i}")
+        ok, value = reported[j]
+        if ok:
+            yield value
+        else:
+            exc, tb = value
+            raise exc from _RemoteTraceback(tb)
 
 
 def bistability_scan(
@@ -362,6 +440,27 @@ def bistability_scan(
     )
 
 
+def _as_integers(values: list) -> tuple[list, int]:
+    # the floats as integers over one common power-of-two denominator, exactly
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _line_fit(x: list, y: list) -> tuple[float, float, float]:
+    # least-squares line y ~ slope x + intercept and its R^2 in closed form, each
+    # correctly rounded by one integer division: x and y scaled by powers of two
+    # to integers make the centred sums exact, so no tiny offset underflows when
+    # squared and the intercept loses nothing to cancellation; x not constant
+    (xi, dx), (yi, dy) = _as_integers(x), _as_integers(y)
+    n, sx, sy = len(xi), sum(xi), sum(yi)
+    sxx, sxy = sum(a * a for a in xi), sum(a * b for a, b in zip(xi, yi))
+    cxx, cxy = n * sxx - sx * sx, n * sxy - sx * sy  # n^2 dx^2 var(x), n^2 dx dy cov
+    cyy = n * sum(b * b for b in yi) - sy * sy
+    r_squared = cxy * cxy / (cxx * cyy) if cyy else 0.0
+    return cxy * dx / (cxx * dy), (sxx * sy - sx * sxy) / (cxx * dy), r_squared
+
+
 def criticality_probe(
     n: float,
     beta0: float,
@@ -378,7 +477,8 @@ def criticality_probe(
     converge, super-threshold offsets settle on small steady cycles whose
     squared amplitude grows linearly in the offset (least-squares R^2 >= 0.9
     over >= 3 points). A repeated offset is probed once; super-threshold
-    offsets too close together to fit a slope raise ConditioningError.
+    offsets too close together to give two distinct delays r_H + offset, and so
+    to fit a slope, raise ConditioningError.
     """
     offsets = sorted({float(o) for o in offsets})
     if not offsets or offsets[0] >= 0.0 or offsets[-1] <= 0.0:
@@ -404,16 +504,10 @@ def criticality_probe(
 
     slope = intercept = r_squared = None
     if len(above) >= 2:
-        x = np.array([p.offset for p in above])
-        y = np.array([p.amplitude**2 for p in above])
-        with np.errstate(all="ignore"):  # offsets too close or too small show as rank < 2
-            (slope_, intercept_), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
-        if rank < 2:
-            raise ConditioningError(f"offsets {x.tolist()} are too close to fit a slope")
-        resid = y - (slope_ * x + intercept_)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 0.0
-        slope, intercept = float(slope_), float(intercept_)
+        x = [p.offset for p in above]
+        if len({r_h + dr for dr in x}) < 2:  # the probes ran at one delay
+            raise ConditioningError(f"offsets {x} are too close to fit a slope")
+        slope, intercept, r_squared = _line_fit(x, [p.amplitude**2 for p in above])
 
     if not above_cycles or any(p.kind is OrbitKind.INDETERMINATE for p in below):
         verdict = Criticality.INCONCLUSIVE  # horizon too short to settle

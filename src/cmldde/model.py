@@ -41,7 +41,8 @@ def gamma_of(k: float, r: float) -> float:
     _check_k(k)
     if not (0.0 < r < math.inf):
         raise DomainError(f"delay r must be positive and finite, got {r}")
-    return math.log(2.0 / k) / r
+    ratio = 2.0 / k  # overflows for k below about 1.1e-308, where ln(2/k) is still < 745
+    return (math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(k)) / r
 
 
 def hill_pow(y, n: float):

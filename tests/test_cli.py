@@ -369,6 +369,18 @@ class TestCriticality:
                 "--k", "1.5", "--horizon", "100"]
         assert main(args) == 2
 
+    def test_tiny_offsets_fail_with_one_line(self):
+        # offsets near 1e-170 probe a single delay: one error line, and nothing else
+        # on file descriptor 2, where native code writes past sys.stderr
+        args = ["criticality", *SEC3, "--offsets=-1e-170,1e-170,2e-170", "--horizon", "20"]
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-m", "cmldde.cli", *args], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert run.returncode == 4
+        assert run.stdout == ""
+        [line] = run.stderr.splitlines()
+        assert line.startswith("numerical failure: ") and "too close" in line
+
 
 class TestZone:
     def test_zone1(self, tmp_path):
@@ -592,6 +604,8 @@ class TestArbitraryParameters:
     # y'(0) overflows at this history level: exit 4, as in the CI workflow's run
     @example("simulate", _values(1.0, 2.5, 8.0, 1.5, 1.0), "constant", 5e307, 5.0, 1.0, 1)
     @example("x-sim", _values(1.0, 2.5, 8.0, 1.5, 1.0), "constant", 5e307, 5.0, 1.0, 1)
+    # subnormal k: 2/k overflows, yet gamma = ln 2 - ln k is finite
+    @example("x-sim", _values(1.0, 1.0, 0.125, 5e-324, 1.0), "constant", 0.0, 1.0, None, 0)
     @given(
         command=st.sampled_from(["simulate", "x-sim"]),
         values=_model_values({key: key for key in _PARAM_KEYS}),

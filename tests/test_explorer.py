@@ -1,8 +1,10 @@
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from cmldde import (
     positive_equilibrium,
     zone_classify,
 )
+from cmldde import explorer
 from cmldde.explorer import _prominent_peaks
 from _oracles import find_peaks_reference
 
@@ -278,6 +281,9 @@ class TestProbeMap:
     def no_children_left(self):
         yield
         assert multiprocessing.active_children() == []
+        # bare forks are invisible to multiprocessing: none may be left unreaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def pooled_and_serial(self, monkeypatch, driver):
         out = []
@@ -330,11 +336,24 @@ class TestProbeMap:
         with pytest.raises(PreconditionError, match="lower endpoint"):
             bistability_scan(OVERFLOW, 0.1, 3e307, 0.01, 2.0)
 
+    def test_killed_worker_is_runtime_error(self, monkeypatch, hopf_example):
+        # a worker that dies without reporting fails the call at once, not a hang
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(explorer, "_probe", lambda *job: os.kill(os.getpid(), signal.SIGKILL))
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="killed by signal 9"):
+            criticality_probe(*hopf_example, [-0.01, 0.004], 400.0)
+        assert time.monotonic() - started < 5.0
+
     def test_import_loads_no_process_machinery(self):
-        code = ("import sys, cmldde, cmldde.cli; "
+        # nor does a forked probe call: no pool, no helper thread
+        code = ("import os, sys, threading, cmldde, cmldde.cli; "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "cmldde.criticality_probe(12.0, 1.77, 1.18074, 0.05, [-0.01, 0.004], 20.0); "
                 "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')), "
+                "threading.active_count())")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-        assert out.strip() == "[]"
+        assert out.strip() == "[] 1"

@@ -38,6 +38,12 @@ class TestGammaOf:
         with pytest.raises(DomainError):
             gamma_of(k, r)
 
+    @pytest.mark.parametrize("k", [5e-324, 1e-310, 1e-308, 2.2e-308])
+    def test_tiny_k_finite(self, k):
+        # 2/k overflows below about 1.1e-308; ln(2/k) itself is below 745
+        assert gamma_of(k, 2.0) == pytest.approx((math.log(2.0) - math.log(k)) / 2.0,
+                                                  rel=1e-15)
+
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

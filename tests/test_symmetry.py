@@ -4,11 +4,15 @@ Mapping t -> t/a and (beta0, delta, r) -> (a beta0, a delta, r/a), with n and k
 fixed, maps solutions to solutions: y_a(t) = y(a t). For a = 2^j every product
 and quotient with a is exact in binary floating point, so each layer below must
 be covariant to the last bit: rates scale by a, delays and times by 1/a, and
-states and verdicts are invariant. Horizons stay within 10 r, and initial data
-stay clear of the subnormal range, where scaling by a rounds.
+states and verdicts are invariant. Random runs stay within 10 r, and initial
+data stay clear of the subnormal range, where scaling by a rounds; the probe
+drivers run at the worked example with a = 2^-1 and 2^1.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmldde import (
@@ -16,12 +20,14 @@ from cmldde import (
     ModelParams,
     b1_coefficient,
     classify_positive,
+    criticality_probe,
     hopf_delay,
     hopf_omega,
     integrate_x,
     integrate_y,
     periodic_x0,
     surface_grid,
+    zone_classify,
 )
 from conftest import sample_params
 
@@ -102,3 +108,36 @@ def test_runs_covariant(seed, a, level, delays, x0):
     assert np.array_equal(x_q.values, x_p.values)
     assert np.array_equal(x_q.derivs, a * x_p.derivs)
     assert periodic_x0(q, y_q, y_q.t_end) == periodic_x0(p, y_p, y_p.t_end)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_criticality_covariant(hopf_example, a):
+    # offsets and horizon scale by 1/a with the delay: the probes are the same
+    # runs, so verdict, amplitudes and kinds agree and only the slope scales
+    n, beta0, k, delta = hopf_example
+    offsets, horizon = [-0.01, 0.004, 0.008, 0.012], 400.0
+    p = criticality_probe(n, beta0, k, delta, offsets, horizon)
+    q = criticality_probe(n, a * beta0, k, a * delta, [o / a for o in offsets], horizon / a)
+    assert p.verdict.value == "supercritical" and q.verdict is p.verdict
+    assert q.points == tuple(dataclasses.replace(pt, offset=pt.offset / a) for pt in p.points)
+    assert q.r_hopf * a == p.r_hopf
+    assert q.slope == a * p.slope
+    assert (q.intercept, q.r_squared) == (p.intercept, p.r_squared)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_zone_covariant(hopf_example, a):
+    # a horizon of 60 leaves growing and undecided probes whose cycle periods
+    # scale by 1/a and whose amplitudes and kinds agree
+    n, beta0, k, delta = hopf_example
+    p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+    q = ModelParams(n=n, beta0=a * beta0, delta=a * delta, k=k, r=p.r / a)
+    zp = zone_classify(p, [0.005, 0.1, 0.2], 60.0)
+    zq = zone_classify(q, [0.005, 0.1, 0.2], 60.0 / a)
+    assert (zq.zone, zq.equilibrium_state) == (zp.zone, zp.equilibrium_state)
+    assert all(pr.orbit.cycle.period is not None for pr in zp.probes)
+    rescaled = []
+    for pr in zp.probes:
+        cycle = dataclasses.replace(pr.orbit.cycle, period=pr.orbit.cycle.period / a)
+        rescaled.append(dataclasses.replace(pr, orbit=dataclasses.replace(pr.orbit, cycle=cycle)))
+    assert zq.probes == tuple(rescaled)
