@@ -1,9 +1,12 @@
 """Command-line front end: every analysis as a subcommand with CSV/JSON output.
 
 Each subcommand reads the argparse namespace directly, so every flag's default
-and required status is declared once, in build_parser. Output is data only;
-plotting is left to external tools. The JSON of bistability, criticality and
-zone opens with an "inputs" block: the command, the model parameters, every
+and required status is declared once, in build_parser. It returns its result
+as data, (header, rows, payload), and main hands that to one writer, _write;
+only simulate and x-sim stream their own output (and bistability writes its
+--amplitudes-csv). Output is data only; plotting is left to external tools.
+The JSON of bistability, criticality and zone, which have no CSV form (header
+None), opens with an "inputs" block: the command, the model parameters, every
 other flag under "options", the --out path, and "fmt" (always "csv" for these
 JSON-only commands). Exit codes: 0 on success, 2 for usage or
 parameter-domain errors (a missing or malformed flag gets argparse's usage
@@ -18,17 +21,10 @@ import contextlib
 import json
 import math
 import sys
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import __version__
-from .errors import (
-    ConditioningError,
-    DomainError,
-    IntegrationError,
-    NoHopfError,
-    PreconditionError,
-    RootNotFoundError,
-)
+from .errors import DomainError, NoHopfError, PreconditionError
 from .model import ModelParams, equilibria, positive_equilibrium, EquilibriumKind
 from .linear_analysis import classify_positive, classify_trivial, leading_roots
 from .hopf import load_bautin_table, surface_grid, verify_table
@@ -59,15 +55,6 @@ def _inputs(args: argparse.Namespace) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _open_out(path: Optional[str]):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="\n") as fh:
-            yield fh
-
-
 def _emit_rows(fh, header: list[str], rows: Iterable[list]):
     fh.write(",".join(header) + "\n")
     for row in rows:
@@ -84,23 +71,24 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _emit_json(path: Optional[str], payload):
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _emit(args: argparse.Namespace, header, rows, payload):
-    if args.fmt == "json":
-        _emit_json(args.out, payload)
-    else:
-        with _open_out(args.out) as fh:
+def _write(args: argparse.Namespace, header, rows, payload) -> None:
+    """Write a subcommand's result to --out or stdout: the CSV header and rows, or
+    the JSON payload with --format json. A command with no CSV form (header None)
+    writes its payload as JSON, led by the inputs block."""
+    if header is None:
+        payload = {"inputs": _inputs(args), **payload}
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", newline="\n")) as fh:
+        if header is None or getattr(args, "fmt", "csv") == "json":
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
             _emit_rows(fh, header, rows)
 
 
-def _emit_records(args: argparse.Namespace, header: list[str], records: list[dict]):
+def _records(header: list[str], records: list[dict]):
     # each record is keyed by the CSV header; the JSON is the list of records
-    _emit(args, header, [[rec[h] for h in header] for rec in records], records)
+    return header, [[rec[h] for h in header] for rec in records], records
 
 
 def _orbit_payload(orbit) -> dict:
@@ -125,7 +113,7 @@ def _history(args: argparse.Namespace, params: ModelParams):
     return eigenmode_history(params, args.c)
 
 
-def cmd_equilibria(args: argparse.Namespace) -> int:
+def cmd_equilibria(args: argparse.Namespace):
     params = _model_params(args)
     records = []
     for eq in equilibria(params):
@@ -143,11 +131,10 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
                 "source": verdict.source.value,
             }
         )
-    _emit_records(args, ["kind", "x", "y", "stability", "source"], records)
-    return 0
+    return _records(["kind", "x", "y", "stability", "source"], records)
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
+def cmd_stability(args: argparse.Namespace):
     params = _model_params(args)
     trivial = classify_trivial(params)
     rows = [["trivial", trivial.state.value, trivial.source.value, None, None]]
@@ -168,11 +155,10 @@ def cmd_stability(args: argparse.Namespace) -> int:
             for root in leading_roots(params, args.roots):
                 rows.append(["root", None, None, root.re, root.im])
                 payload["leading_roots"].append({"re": root.re, "im": root.im})
-    _emit(args, ["item", "state", "source", "re", "im"], rows, payload)
-    return 0
+    return ["item", "state", "source", "re", "im"], rows, payload
 
 
-def cmd_hopf_surface(args: argparse.Namespace) -> int:
+def cmd_hopf_surface(args: argparse.Namespace):
     surface = surface_grid(
         args.n,
         args.beta0,
@@ -185,13 +171,12 @@ def cmd_hopf_surface(args: argparse.Namespace) -> int:
         for k, r_row in zip(surface.k, surface.r_hopf)
         for d, r_h in zip(surface.delta, r_row)
     )
-    with _open_out(args.out) as fh:
-        _emit_rows(fh, ["k", "delta", "r_hopf"], rows)
-    return 0
+    return ["k", "delta", "r_hopf"], rows, None
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    """simulate writes the y trajectory; x-sim integrates x along it and writes that."""
+def cmd_simulate(args: argparse.Namespace) -> None:
+    """simulate streams the y trajectory to --out; x-sim integrates x along it and
+    streams that. Returns None: there is nothing left for _write."""
     params = _model_params(args)
     t_end = 200.0 * params.r if args.t_end is None else args.t_end
     traj = integrate_y(params, _history(args, params), t_end, args.dt)
@@ -203,10 +188,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj, labels = integrate_x(params, traj, x0), ("t", "x", "xdot")
     # write_csv opens a path itself and checks the stride before it does
     traj.write_csv(sys.stdout if args.out is None else args.out, labels, args.stride)
-    return 0
 
 
-def cmd_verify_tables(args: argparse.Namespace) -> int:
+def cmd_verify_tables(args: argparse.Namespace):
     records = [
         {
             "n": c.row.n,
@@ -220,35 +204,29 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
         }
         for c in verify_table(load_bautin_table(args.tables), args.rel_tol)
     ]
-    _emit_records(
-        args, ["n", "beta0", "k", "delta", "r_paper", "r_computed", "rel_err", "pass"], records
-    )
-    return 0
+    return _records(["n", "beta0", "k", "delta", "r_paper", "r_computed", "rel_err", "pass"],
+                    records)
 
 
-def cmd_bistability(args: argparse.Namespace) -> int:
+def cmd_bistability(args: argparse.Namespace):
     params = _model_params(args)
     result = bistability_scan(params, args.c_lo, args.c_hi, args.tol, args.horizon, args.dt)
-    payload = {
-        "inputs": _inputs(args),
-        "bracket": {"c_converge": result.c_converge, "c_escape": result.c_escape},
-        "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in result.probes],
-        "elapsed_seconds": result.elapsed,
-    }
-    _emit_json(args.out, payload)
     if args.amplitudes_csv:
         with open(args.amplitudes_csv, "w", newline="\n") as fh:
             rows = [[p.c, p.orbit.tail_amplitude] for p in sorted(result.probes, key=lambda p: p.c)]
             _emit_rows(fh, ["c", "amplitude_tail"], rows)
-    return 0
+    return None, None, {
+        "bracket": {"c_converge": result.c_converge, "c_escape": result.c_escape},
+        "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in result.probes],
+        "elapsed_seconds": result.elapsed,
+    }
 
 
-def cmd_criticality(args: argparse.Namespace) -> int:
+def cmd_criticality(args: argparse.Namespace):
     report = criticality_probe(
         args.n, args.beta0, args.k, args.delta, args.offsets, args.horizon, args.dt
     )
-    payload = {
-        "inputs": _inputs(args),
+    return None, None, {
         "verdict": report.verdict.value,
         "r_hopf": report.r_hopf,
         "points": [
@@ -257,21 +235,16 @@ def cmd_criticality(args: argparse.Namespace) -> int:
         ],
         "fit": {"slope": report.slope, "intercept": report.intercept, "r_squared": report.r_squared},
     }
-    _emit_json(args.out, payload)
-    return 0
 
 
-def cmd_zone(args: argparse.Namespace) -> int:
+def cmd_zone(args: argparse.Namespace):
     params = _model_params(args)
     report = zone_classify(params, args.c_values, args.horizon, args.dt)
-    payload = {
-        "inputs": _inputs(args),
+    return None, None, {
         "zone": report.zone.value,
         "equilibrium_state": report.equilibrium_state.value,
         "probes": [{"c": p.c, "orbit": _orbit_payload(p.orbit)} for p in report.probes],
     }
-    _emit_json(args.out, payload)
-    return 0
 
 
 def _float_list(text: str) -> list[float]:
@@ -382,15 +355,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            _write(args, *result)
+        return 0
     except (DomainError, PreconditionError, NoHopfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_ERROR
-    except (IntegrationError, RootNotFoundError, ConditioningError, RuntimeError,
-            ArithmeticError, ValueError) as exc:
+    except (RuntimeError, ArithmeticError, ValueError) as exc:
         # plain ValueError is a math domain error, e.g. from a quantity past the double range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

@@ -286,11 +286,19 @@ class _RemoteTraceback(Exception):
     """A worker's formatted traceback, the __cause__ of the exception it raised."""
 
 
-def _run_worker(jobs: list, fd: int) -> None:
+def _run_worker(jobs: list, fd: int, parent: int) -> None:
     # in a forked child: run the jobs until one fails, pickle the outcomes
     # (ok, result or (exception, traceback)) to fd and exit without cleanup
     code = 1
     try:
+        if sys.platform.startswith("linux"):
+            import ctypes
+
+            # die with the parent: prctl(PR_SET_PDEATHSIG, SIGKILL), then catch a
+            # parent that died before the call
+            ctypes.CDLL(None).prctl(1, 9)
+            if os.getppid() != parent:
+                return
         outcomes = []
         for job in jobs:
             try:
@@ -310,13 +318,13 @@ def _run_worker(jobs: list, fd: int) -> None:
 def _forked_outcomes(jobs: list, workers: int) -> list:
     # each worker's outcome list, or its exit code (-signal) when it died
     # before reporting; every child is reaped on every path
-    pids, pipes, outcomes = [], [], []
+    pids, pipes, outcomes, parent = [], [], [], os.getpid()
     try:
         for w in range(workers):
             rfd, wfd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_worker(jobs[w::workers], wfd)
+                _run_worker(jobs[w::workers], wfd, parent)
             os.close(wfd)
             pids.append(pid)
             pipes.append(os.fdopen(rfd, "rb"))
@@ -350,7 +358,8 @@ def _probe_map(jobs: list) -> Iterator[ProbeResult]:
     probe, reads every pipe and reaps every worker before the first result is
     returned. A worker's exception carries the worker's traceback as a
     _RemoteTraceback __cause__; a worker that dies before reporting raises
-    RuntimeError at its first job. With one worker, without fork, or in a
+    RuntimeError at its first job, and on Linux a worker dies with its caller
+    (SIGKILL through PR_SET_PDEATHSIG). With one worker, without fork, or in a
     daemonic process (which may not have children) the jobs run lazily
     in-process.
     """

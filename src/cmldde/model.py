@@ -169,8 +169,11 @@ def checked_b1_terms(n: float, beta0: float, k: float, delta: float) -> tuple[fl
 
 
 def b1_value(n: float, beta0: float, k: float, delta: float) -> float:
-    """Feedback slope at the positive equilibrium, checked as checked_b1_terms does."""
-    return checked_b1_terms(float(n), float(beta0), float(k), float(delta))[0]
+    """Feedback slope at the positive equilibrium: DomainError outside the model's
+    domain (check_rates), else checked as checked_b1_terms does."""
+    n, beta0, k, delta = float(n), float(beta0), float(k), float(delta)
+    check_rates(n, beta0, delta, k)
+    return checked_b1_terms(n, beta0, k, delta)[0]
 
 
 def b1_coefficient(params: ModelParams) -> LinearizationData:

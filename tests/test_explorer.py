@@ -1,3 +1,4 @@
+import contextlib
 import math
 import multiprocessing
 import os
@@ -267,6 +268,15 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def running(pid):
+    """Whether a process exists and is neither a zombie nor dead (Linux /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
 #: unstable equilibrium whose leading root pair keeps the eigenmode history
 #: positive for any c > 0; delta * (y* + 3e307) overflows, so a probe at
 #: c = 3e307 fails on the derivative at t = 0
@@ -344,6 +354,42 @@ class TestProbeMap:
         with pytest.raises(RuntimeError, match="killed by signal 9"):
             criticality_probe(*hopf_example, [-0.01, 0.004], 400.0)
         assert time.monotonic() - started < 5.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="workers die with their caller on Linux; one CPU forks none")
+    def test_workers_die_with_caller(self, tmp_path):
+        # a caller killed mid-probe leaves no worker running
+        pid_file = tmp_path / "pids"
+        code = ("import os, sys, time; from cmldde import explorer\n"
+                "def probe(*job):\n"
+                "    with open(sys.argv[1], 'a') as fh: fh.write(f'{os.getpid()}\\n')\n"
+                "    time.sleep(60)\n"
+                "explorer._probe = probe\n"
+                "list(explorer._probe_map([(), ()]))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        caller = subprocess.Popen([sys.executable, "-c", code, str(pid_file)],
+                                  env=dict(os.environ, PYTHONPATH=src))
+        workers = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                if pid_file.exists():
+                    workers = [int(pid) for pid in pid_file.read_text().split()]
+            assert len(workers) == 2
+            caller.terminate()
+            assert caller.wait() == -signal.SIGTERM
+            deadline = time.monotonic() + 5.0
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
+        finally:
+            caller.kill()
+            caller.wait()
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_import_loads_no_process_machinery(self):
         # nor does a forked probe call: no pool, no helper thread

@@ -15,6 +15,7 @@ from cmldde import (
     equilibria,
     feedback,
     gamma_of,
+    hopf_delay,
     positive_equilibrium,
 )
 from cmldde.model import hill_pow
@@ -213,6 +214,14 @@ class TestB1:
         # (delta/(k-1)) (n delta/(beta0 (k-1)) - n + 1) = 2e300 * (-8e9) overflows
         with pytest.raises(ConditioningError):
             b1_value(1e10, 1e301, 1.5, 1e300)
+
+    @pytest.mark.parametrize("n, k", [(-2.0, 1.01), (2.0, 2.5), (math.nan, 1.01)])
+    def test_outside_domain_rejected(self, n, k):
+        # as hopf_delay does: n < 0 and k > 2 gave a finite b1, n = nan ConditioningError
+        with pytest.raises(DomainError):
+            b1_value(n, 2.5, k, 0.0015)
+        with pytest.raises(DomainError):
+            hopf_delay(n, 2.5, k, 0.0015)
 
     def test_numpy_scalars_as_floats(self):
         # beta0 (k-1)/delta overflows; numpy scalars must not warn where floats do not

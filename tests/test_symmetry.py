@@ -3,8 +3,9 @@
 Mapping t -> t/a and (beta0, delta, r) -> (a beta0, a delta, r/a), with n and k
 fixed, maps solutions to solutions: y_a(t) = y(a t). For a = 2^j every product
 and quotient with a is exact in binary floating point, so each layer below must
-be covariant to the last bit: rates scale by a, delays and times by 1/a, and
-states and verdicts are invariant. Random runs stay within 10 r, and initial
+be covariant to the last bit (leading_roots alone to 1e-13, see its test):
+rates scale by a, delays and times by 1/a, and states and verdicts are
+invariant. Random runs stay within 30 r, and initial
 data stay clear of the subnormal range, where scaling by a rounds; the probe
 drivers run at the worked example with a = 2^-1 and 2^1.
 """
@@ -19,13 +20,16 @@ from cmldde import (
     ConstantHistory,
     ModelParams,
     b1_coefficient,
+    classify_orbit,
     classify_positive,
     criticality_probe,
     hopf_delay,
     hopf_omega,
     integrate_x,
     integrate_y,
+    leading_roots,
     periodic_x0,
+    positive_equilibrium,
     surface_grid,
     zone_classify,
 )
@@ -93,6 +97,39 @@ def test_classifier_invariant(seed, a):
         assert at_q is at_p
     else:
         assert (at_q.state, at_q.source) == (at_p.state, at_p.source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, a=SCALES)
+def test_leading_roots_scale(seed, a):
+    # not bit for bit: log|k b1 r| is formed as log|k b1| + log r, whose two
+    # terms round apart under the rescaling (8.2e-15 relative at worst seen)
+    p, q = _pair(seed, a)
+    at_p, at_q = _outcome(leading_roots, p, 3), _outcome(leading_roots, q, 3)
+    if isinstance(at_p, type):
+        assert at_q is at_p
+        return
+    assert len(at_q) == len(at_p)
+    for root_p, root_q in zip(at_p, at_q):
+        lam = a * complex(root_p.re, root_p.im)
+        assert abs(complex(root_q.re, root_q.im) - lam) <= 1e-13 * abs(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, a=SCALES)
+def test_orbit_class_covariant(seed, a):
+    # 30 delays from 1.3 y*: the same kind and cycle amplitude, the period / a
+    p, q = _pair(seed, a)
+    y_star = positive_equilibrium(p).y_star
+    history, horizon = ConstantHistory(1.3 * y_star), 30.0 * p.r
+    at_p = classify_orbit(integrate_y(p, history, horizon), y_star, horizon)
+    at_q = classify_orbit(integrate_y(q, history, horizon / a), y_star, horizon / a)
+    assert at_q.kind is at_p.kind
+    if at_p.cycle is None:
+        assert at_q.cycle is None
+    else:
+        period = None if at_p.cycle.period is None else at_p.cycle.period / a
+        assert at_q.cycle == dataclasses.replace(at_p.cycle, period=period)
 
 
 @settings(max_examples=60, deadline=None)
