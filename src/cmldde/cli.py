@@ -4,7 +4,9 @@ Each subcommand reads the argparse namespace directly, so every flag's default
 and required status is declared once, in build_parser. It returns its result
 as data, (header, rows, payload), and main hands that to one writer, _write;
 only simulate and x-sim stream their own output (and bistability writes its
---amplitudes-csv). Output is data only; plotting is left to external tools.
+--amplitudes-csv). Each subcommand imports the layers it uses when it runs,
+so those that integrate nothing never load dde_sim, x_solver or explorer.
+Output is data only; plotting is left to external tools.
 The JSON of bistability, criticality and zone, which have no CSV form (header
 None), opens with an "inputs" block: the command, the model parameters, every
 other flag under "options", the --out path, and "fmt" (always "csv" for these
@@ -18,19 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 from typing import Iterable
 
 from . import __version__
 from .errors import DomainError, NoHopfError, PreconditionError
-from .model import ModelParams, equilibria, positive_equilibrium, EquilibriumKind
-from .linear_analysis import classify_positive, classify_trivial, leading_roots
-from .hopf import load_bautin_table, surface_grid, verify_table
-from .dde_sim import ConstantHistory, eigenmode_history, integrate_y
-from .x_solver import integrate_x
-from .explorer import bistability_scan, criticality_probe, zone_classify
 
 USAGE_ERROR, IO_ERROR, NUMERIC_ERROR = 2, 3, 4
 
@@ -38,6 +33,8 @@ _PARAM_KEYS = ("n", "beta0", "delta", "k", "r")
 
 
 def _model_params(args: argparse.Namespace) -> ModelParams:
+    from .model import ModelParams
+
     return ModelParams(**{key: getattr(args, key) for key in _PARAM_KEYS})
 
 
@@ -75,6 +72,8 @@ def _write(args: argparse.Namespace, header, rows, payload) -> None:
     """Write a subcommand's result to --out or stdout: the CSV header and rows, or
     the JSON payload with --format json. A command with no CSV form (header None)
     writes its payload as JSON, led by the inputs block."""
+    import json
+
     if header is None:
         payload = {"inputs": _inputs(args), **payload}
     with (contextlib.nullcontext(sys.stdout) if args.out is None
@@ -103,6 +102,9 @@ def _orbit_payload(orbit) -> dict:
 
 
 def _history(args: argparse.Namespace, params: ModelParams):
+    from .dde_sim import ConstantHistory, eigenmode_history
+    from .model import positive_equilibrium
+
     if args.history == "constant":
         level = args.level
         if level is None:
@@ -114,6 +116,9 @@ def _history(args: argparse.Namespace, params: ModelParams):
 
 
 def cmd_equilibria(args: argparse.Namespace):
+    from .linear_analysis import classify_positive, classify_trivial
+    from .model import EquilibriumKind, equilibria
+
     params = _model_params(args)
     records = []
     for eq in equilibria(params):
@@ -135,6 +140,8 @@ def cmd_equilibria(args: argparse.Namespace):
 
 
 def cmd_stability(args: argparse.Namespace):
+    from .linear_analysis import classify_positive, classify_trivial, leading_roots
+
     params = _model_params(args)
     trivial = classify_trivial(params)
     rows = [["trivial", trivial.state.value, trivial.source.value, None, None]]
@@ -159,6 +166,8 @@ def cmd_stability(args: argparse.Namespace):
 
 
 def cmd_hopf_surface(args: argparse.Namespace):
+    from .hopf import surface_grid
+
     surface = surface_grid(
         args.n,
         args.beta0,
@@ -177,11 +186,16 @@ def cmd_hopf_surface(args: argparse.Namespace):
 def cmd_simulate(args: argparse.Namespace) -> None:
     """simulate streams the y trajectory to --out; x-sim integrates x along it and
     streams that. Returns None: there is nothing left for _write."""
+    from .dde_sim import integrate_y
+
     params = _model_params(args)
     t_end = 200.0 * params.r if args.t_end is None else args.t_end
     traj = integrate_y(params, _history(args, params), t_end, args.dt)
     labels = ("t", "y", "ydot")
     if args.command == "x-sim":
+        from .model import positive_equilibrium
+        from .x_solver import integrate_x
+
         x0 = args.x0
         if x0 is None:
             x0 = positive_equilibrium(params).x_star if params.has_positive_equilibrium else 0.0
@@ -191,6 +205,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_verify_tables(args: argparse.Namespace):
+    from .hopf import load_bautin_table, verify_table
+
     records = [
         {
             "n": c.row.n,
@@ -209,6 +225,8 @@ def cmd_verify_tables(args: argparse.Namespace):
 
 
 def cmd_bistability(args: argparse.Namespace):
+    from .explorer import bistability_scan
+
     params = _model_params(args)
     result = bistability_scan(params, args.c_lo, args.c_hi, args.tol, args.horizon, args.dt)
     if args.amplitudes_csv:
@@ -223,6 +241,8 @@ def cmd_bistability(args: argparse.Namespace):
 
 
 def cmd_criticality(args: argparse.Namespace):
+    from .explorer import criticality_probe
+
     report = criticality_probe(
         args.n, args.beta0, args.k, args.delta, args.offsets, args.horizon, args.dt
     )
@@ -238,6 +258,8 @@ def cmd_criticality(args: argparse.Namespace):
 
 
 def cmd_zone(args: argparse.Namespace):
+    from .explorer import zone_classify
+
     params = _model_params(args)
     report = zone_classify(params, args.c_values, args.horizon, args.dt)
     return None, None, {

@@ -148,7 +148,7 @@ class Trajectory(History):
         # values take the history for t <= 0, derivatives only for t < 0: at
         # t = 0 the derivative is the solution's right-hand one, node f[m]
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        slack = 1e-9 * max(1.0, abs(self.t_end))  # roundoff from t0 + dt*i sums
+        slack = 1e-9 * max(abs(self.t0), abs(self.t_end))  # roundoff from t0 + dt*i sums
         if not (np.all(t_arr >= self.t0 - slack) and np.all(t_arr <= self.t_end + slack)):
             raise DomainError("evaluation outside the covered span")
         past = t_arr <= 0.0 if order == 0 else t_arr < 0.0

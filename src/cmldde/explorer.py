@@ -242,7 +242,7 @@ def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClas
     """
     if not 0.0 < horizon < math.inf:
         raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
-    if traj.t_end < horizon - 1e-9 * max(1.0, horizon):
+    if traj.t_end < horizon - 1e-9 * horizon:
         raise PreconditionError("trajectory does not cover the requested horizon")
     tol = CONVERGE_SCALE * (1.0 + abs(y_star))
     t1, t2 = horizon / 3.0, 2.0 * horizon / 3.0

@@ -10,13 +10,10 @@ omega_H for both (crossing_terms), and ships the tabulated codimension-two
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import sys
 from dataclasses import dataclass, fields
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -181,6 +178,10 @@ def load_bautin_table(path=None) -> list[BautinRow]:
     A missing column, a non-numeric or non-finite value, parameters outside
     the model's domain, or r <= 0 raises DomainError naming the line.
     """
+    import csv
+    from importlib import resources
+    from pathlib import Path
+
     packaged = resources.files("cmldde") / "data" / "bautin_points_n2.csv"
     source = packaged if path is None else Path(path)
     reader = csv.DictReader(source.read_text().splitlines())

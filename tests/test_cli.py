@@ -503,7 +503,23 @@ def test_readme_command_runs(command, tmp_path, capsys):
         assert len(rows) == math.ceil(nodes / int(opts["--stride"]))
 
 
-_EXTREME = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0]
+@pytest.mark.parametrize("command", ["equilibria", "stability", "hopf-surface", "verify-tables",
+                                     "simulate", "x-sim"])
+def test_readme_command_loads_only_its_layers(command, tmp_path):
+    # in a fresh interpreter: the analyses without integration load none of
+    # the integrating layers, and simulate loads no x solver
+    argv = next(argv for argv in _readme_commands() if argv[0] == command)
+    code = ("import sys; from cmldde.cli import main; "
+            f"code = main({argv!r}); print(code, sorted(m for m in "
+            "('cmldde.dde_sim', 'cmldde.x_solver', 'cmldde.explorer') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    loaded = {"simulate": ["cmldde.dde_sim"], "x-sim": ["cmldde.dde_sim", "cmldde.x_solver"]}
+    assert out.splitlines()[-1] == f"0 {loaded.get(command, [])}"
+
+
+_EXTREME =[math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.0, -0.0]
 
 
 def _param_value():

@@ -7,7 +7,8 @@ be covariant to the last bit (leading_roots alone to 1e-13, see its test):
 rates scale by a, delays and times by 1/a, and states and verdicts are
 invariant. Random runs stay within 30 r, and initial
 data stay clear of the subnormal range, where scaling by a rounds; the probe
-drivers run at the worked example with a = 2^-1 and 2^1.
+drivers run at the worked example with a = 2^-1 and 2^1, and the span slacks
+of dense output and the orbit classifier at a = 2^-40 and 2^40.
 """
 
 import dataclasses
@@ -18,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from cmldde import (
     ConstantHistory,
+    DomainError,
     ModelParams,
+    PreconditionError,
     b1_coefficient,
     classify_orbit,
     classify_positive,
@@ -178,3 +181,29 @@ def test_zone_covariant(hopf_example, a):
         cycle = dataclasses.replace(pr.orbit.cycle, period=pr.orbit.cycle.period / a)
         rescaled.append(dataclasses.replace(pr, orbit=dataclasses.replace(pr.orbit, cycle=cycle)))
     assert zq.probes == tuple(rescaled)
+
+
+@pytest.mark.parametrize("j", [-40, 0, 40])
+def test_span_slack_scales(hopf_example, j):
+    # the evaluation and horizon slacks are relative: 5e-10 t_end past either
+    # end of [-r, t_end] is covered at every scale, 2e-9 t_end is not, even at
+    # t_end = 1.6e-12
+    n, beta0, k, delta = hopf_example
+    a = 2.0**j
+    p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+    q = ModelParams(n=n, beta0=a * beta0, delta=a * delta, k=k, r=p.r / a)
+    y_star = positive_equilibrium(p).y_star
+    y_p = integrate_y(p, ConstantHistory(1.01 * y_star), 5.0 * p.r)
+    y_q = integrate_y(q, ConstantHistory(1.01 * y_star), 5.0 * p.r / a)
+    t0, t_end = y_p.t0, y_p.t_end
+    inside = np.array([t0 - 5e-10 * t_end, 0.0, t_end, t_end * (1.0 + 5e-10)])
+    assert np.array_equal(y_q.value_at(inside / a), y_p.value_at(inside))
+    for t in (t0 - 2e-9 * t_end, t_end * (1.0 + 2e-9), 500.0 * t_end):
+        with pytest.raises(DomainError, match="outside the covered span"):
+            y_q.value_at(t / a)
+    horizon = t_end * (1.0 + 5e-10)
+    kind = classify_orbit(y_p, y_star, horizon).kind
+    assert classify_orbit(y_q, y_star, horizon / a).kind is kind
+    for horizon in (t_end * (1.0 + 2e-9), 500.0 * t_end):
+        with pytest.raises(PreconditionError, match="does not cover"):
+            classify_orbit(y_q, y_star, horizon / a)
