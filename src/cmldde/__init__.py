@@ -31,8 +31,7 @@ _EXPORTS = {
     "x_solver": ("PeriodicInit", "integrate_x", "periodic_response", "periodic_x0"),
     "explorer": ("Criticality", "CriticalityReport", "CycleEstimate", "OrbitClass", "OrbitKind",
                  "ProbeResult", "ScanResult", "Zone", "ZoneReport", "bistability_scan",
-                 "classify_orbit", "criticality_probe", "cycle_estimate", "refine_period",
-                 "zone_classify"),
+                 "classify_orbit", "criticality_probe", "cycle_estimate", "zone_classify"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -35,26 +35,31 @@ STEPS_PER_DELAY = 64
 #: most grid nodes (history plus steps) one run may allocate: 128 MiB per array
 MAX_NODES = 2**24
 
-# steps (x path) or CSV rows one pass holds in temporaries, so that a whole
-# run's memory is its node arrays plus one block
+# steps the x path holds in temporaries, so that a whole run's memory is its
+# node arrays plus one block
 _BLOCK_STEPS = 2**12
+
+# CSV rows formatted by one % and written by one write (about 70 bytes each)
+_CSV_ROWS = 2**10
+_CSV_ROW = "%.17g,%.17g,%.17g\n"
 
 
 def _hermite(y0, y1, f0, f1, th, h, order):
     """Cubic Hermite interpolant (order 0) or its derivative (order 1) at
     fraction th of a step h with end values y0, y1 and end slopes f0, f1."""
+    # each shared subexpression is one Python would evaluate first anyway, so
+    # forming it once leaves every rounding as in the written-out formula
+    tm1 = th - 1.0
     if order == 0:
+        th2, tw = th * th, 2.0 * th
         return (
-            (1.0 + th * th * (2.0 * th - 3.0)) * y0
-            + th * (th - 1.0) ** 2 * h * f0
-            + th * th * (3.0 - 2.0 * th) * y1
-            + th * th * (th - 1.0) * h * f1
+            (1.0 + th2 * (tw - 3.0)) * y0
+            + th * tm1 ** 2 * h * f0
+            + th2 * (3.0 - tw) * y1
+            + th2 * tm1 * h * f1
         )
-    return (
-        6.0 * th * (th - 1.0) * (y0 - y1) / h
-        + (3.0 * th * th - 4.0 * th + 1.0) * f0
-        + th * (3.0 * th - 2.0) * f1
-    )
+    t3 = 3.0 * th
+    return 6.0 * th * tm1 * (y0 - y1) / h + (t3 * th - 4.0 * th + 1.0) * f0 + th * (t3 - 2.0) * f1
 
 
 class History:
@@ -189,25 +194,30 @@ class Trajectory(History):
 
     value, derivative = value_at, derivative_at  # the History interface
 
-    def window(self, t_lo: float, t_hi: float):
-        """(times, values) of stored nodes with t_lo <= t <= t_hi; values is a view.
-        Node times t0 + dt*i rise with i: bisect that expression for the range."""
+    def _node_range(self, t_lo: float, t_hi: float) -> tuple[int, int]:
+        # [lo, hi): the indices of the nodes with t_lo <= t0 + dt*i <= t_hi.
+        # Node times rise with i: bisect that expression for the range
         nodes, node = range(self.values.size), lambda i: self.t0 + self.dt * i
         lo = bisect.bisect_left(nodes, True, key=lambda i: node(i) >= t_lo)
-        hi = max(lo, bisect.bisect_left(nodes, True, key=lambda i: not node(i) <= t_hi))
+        return lo, max(lo, bisect.bisect_left(nodes, True, key=lambda i: not node(i) <= t_hi))
+
+    def window(self, t_lo: float, t_hi: float):
+        """(times, values) of stored nodes with t_lo <= t <= t_hi; values is a view."""
+        lo, hi = self._node_range(t_lo, t_hi)
         return self.t0 + self.dt * np.arange(lo, hi), self.values[lo:hi]
 
     def write_csv(self, dest, labels=("t", "y", "ydot"), stride: int = 1):
         """Dump every stride-th stored node to a path or text stream as CSV (LF
         endings, header row), a block of rows at a time: the times t0 + dt*i of
-        a block's nodes are formed with it, never for the whole run."""
+        a block's nodes are formed with it, never for the whole run, and the
+        block is formatted by one % and written by one write."""
         try:
             stride = operator.index(stride)
         except TypeError:
             stride = 0  # not an integer: rejected with the values below 1
         if stride < 1:
             raise DomainError("stride must be an integer >= 1")
-        span, size = _BLOCK_STEPS * stride, self.values.size
+        span, size = _CSV_ROWS * stride, self.values.size
         is_path = isinstance(dest, (str, os.PathLike))
         with open(dest, "w", newline="\n") if is_path else contextlib.nullcontext(dest) as fh:
             fh.write(",".join(labels) + "\n")
@@ -215,8 +225,7 @@ class Trajectory(History):
                 t = self.t0 + self.dt * np.arange(lo, min(lo + span, size), stride)
                 v = self.values[lo:lo + span:stride]
                 d = self.derivs[lo:lo + span:stride]
-                for row in zip(t, v, d):
-                    fh.write("%.17g,%.17g,%.17g\n" % row)
+                fh.write(_CSV_ROW * t.size % tuple(np.column_stack((t, v, d)).ravel().tolist()))
 
 
 def _resolve_steps(r: float, dt: float) -> int:

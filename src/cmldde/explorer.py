@@ -1,5 +1,10 @@
 """Experiment drivers: limit-cycle extraction, orbit classification, scans.
 
+A window of stored nodes holds a cycle when it shows at least 3 prominent
+peaks; its amplitude is half its range, and its period the mean return time
+to its mid-range level (a Poincare section of the dense output), None when
+the window crosses that level upward fewer than twice.
+
 The quantitative knobs live in module constants. Convergence means the
 trailing sup-distance to the equilibrium drops below a small multiple of
 (1 + y*); escape means a probe settles on (or grows toward) a cycle whose
@@ -34,7 +39,7 @@ from .errors import ConditioningError, PreconditionError
 from .model import ModelParams, positive_equilibrium
 from .linear_analysis import StabilityState, classify_positive
 from .hopf import hopf_delay
-from .dde_sim import Trajectory, eigenmode_history, integrate_y
+from .dde_sim import Trajectory, _hermite, eigenmode_history, integrate_y
 
 #: convergence threshold scale: trailing sup-distance below this times (1 + |y*|)
 CONVERGE_SCALE = 1e-3
@@ -69,6 +74,10 @@ class Zone(Enum):
 
 @dataclass(frozen=True)
 class CycleEstimate:
+    """A window's cycle: half its peak-to-trough range, the mean return time to
+    its mid-range level (None below two upward crossings of it) and whether it
+    is steady (halves agree in amplitude, window of at least 10 periods)."""
+
     amplitude: float
     period: Optional[float]
     steady: bool
@@ -153,82 +162,61 @@ def _prominent_peaks(v: np.ndarray, prominence: float) -> np.ndarray:
     return peaks[v[peaks] - np.maximum(mins[:, 0], mins[:, 2]) >= prominence]
 
 
-def _refined_peak_times(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # prominence filter keeps one peak per cycle on relaxation-type waveforms
-    # whose slow segments carry roundoff-scale ripples
-    idx = _prominent_peaks(v, 0.1 * (v.max() - v.min()))
-    if idx.size == 0:
-        return np.empty(0)
-    denom = v[idx - 1] - 2.0 * v[idx] + v[idx + 1]
-    shift = np.zeros(idx.size)
-    ok = np.abs(denom) > 0.0
-    shift[ok] = 0.5 * (v[idx - 1] - v[idx + 1])[ok] / denom[ok]
-    dt = t[1] - t[0] if t.size > 1 else 0.0
-    return t[idx] + shift * dt
+def _crossing(traj: Trajectory, i: int, level: float) -> float:
+    # the time in step [t_i, t_i+1] at which the Hermite piece meets level, either
+    # way: Newton steps in the step fraction from the secant point
+    y0, y1 = traj.values[i:i + 2].tolist()
+    f0, f1 = traj.derivs[i:i + 2].tolist()
+    h = traj.dt
+    th = (level - y0) / (y1 - y0)
+    for _ in range(8):
+        slope = _hermite(y0, y1, f0, f1, th, h, 1) * h
+        if slope == 0.0:
+            break
+        th -= (_hermite(y0, y1, f0, f1, th, h, 0) - level) / slope
+    return traj.t0 + h * (i + th)
 
 
-def _cycle_from_samples(t: np.ndarray, v: np.ndarray) -> CycleEstimate:
-    if t.size < 8:
-        return CycleEstimate(amplitude=0.0, period=None, steady=False)
-    peaks = _refined_peak_times(t, v)
-    if peaks.size < 3:
+def _cycle_from_samples(traj: Trajectory, lo: int, hi: int) -> CycleEstimate:
+    # the cycle in the nodes lo <= i < hi; the prominence gate keeps one peak per
+    # cycle on relaxation-type waveforms whose slow segments carry roundoff-scale
+    # ripples, and the period is the mean return time to the mid-range level
+    v = traj.values[lo:hi]
+    if v.size < 8 or _prominent_peaks(v, 0.1 * (v.max() - v.min())).size < 3:
         return CycleEstimate(amplitude=0.0, period=None, steady=False)
     amplitude = 0.5 * float(v.max() - v.min())
-    period = float(np.mean(np.diff(peaks)))
-    half = t.size // 2
+    level = 0.5 * float(v.max() + v.min())
+    up = np.flatnonzero((v[:-1] < level) & (v[1:] >= level)) + lo
+    period = None
+    if up.size >= 2:
+        first, last = (_crossing(traj, int(i), level) for i in up[[0, -1]])
+        period = (last - first) / (up.size - 1)
+    half = v.size // 2
     a1 = 0.5 * float(v[:half].max() - v[:half].min())
     a2 = 0.5 * float(v[half:].max() - v[half:].min())
     drift_ok = abs(a2 - a1) <= AMP_DRIFT * max(a2, 1e-300)
-    long_enough = (t[-1] - t[0]) >= 10.0 * period
+    long_enough = period is not None and (hi - 1 - lo) * traj.dt >= 10.0 * period
     return CycleEstimate(amplitude=amplitude, period=period, steady=bool(drift_ok and long_enough))
 
 
 def cycle_estimate(traj: Trajectory, t_transient: float) -> CycleEstimate:
     """Amplitude/period/steadiness of the trailing signal after t_transient.
 
-    Amplitude is half the peak-to-trough range of the trailing window, period
-    the mean spacing of parabolic-refined peaks. With fewer than 3 peaks the
-    amplitude is reported as 0 and the period as None. PreconditionError when
-    [t_transient, t_end] holds no stored node (a NaN t_transient included).
+    Amplitude is half the peak-to-trough range of the stored nodes in
+    [t_transient, t_end]. The period is the mean return time to the window's
+    mid-range level: the upward crossings of that level by the nodes, the
+    first and the last refined on the Hermite dense output, give (last -
+    first)/(count - 1). With fewer than 3 prominent peaks (prominence a tenth
+    of the range) the amplitude is reported as 0 and the period as None; with
+    fewer than two upward crossings the period is None and the amplitude
+    stands. Steady: the two halves' amplitudes agree within AMP_DRIFT and the
+    window spans at least 10 periods. PreconditionError when [t_transient,
+    t_end] holds no stored node (a NaN t_transient included).
     """
-    t, v = traj.window(t_transient, traj.t_end)
-    if v.size == 0:
+    lo, hi = traj._node_range(t_transient, traj.t_end)
+    if hi == lo:
         raise PreconditionError(f"no stored node in [{t_transient:g}, {traj.t_end:g}]")
-    return _cycle_from_samples(t, v)
-
-
-def refine_period(traj: Trajectory, t_anchor: float, period_guess: float) -> float:
-    """Sharpen a period estimate to a return-time of the dense trajectory.
-
-    Finds the time near t_anchor + period_guess at which the signal recrosses
-    its value at t_anchor moving in the same direction, by bisection on the
-    Hermite dense output. The anchor should sit away from the cycle's extrema
-    so the crossing is transversal.
-    """
-    y0 = traj.value_at(t_anchor)
-    slope = traj.derivative_at(t_anchor)
-    if slope == 0.0:
-        raise PreconditionError("anchor lies at an extremum; pick a sloped point")
-    lo_t = t_anchor + 0.5 * period_guess
-    hi_t = t_anchor + 1.5 * period_guess
-    if hi_t > traj.t_end:
-        raise PreconditionError("trajectory too short to refine the period")
-    t, v = traj.window(lo_t, hi_t)
-    sgn = 1.0 if slope > 0.0 else -1.0
-    f = sgn * (v - y0)
-    crossings = np.nonzero((f[:-1] < 0.0) & (f[1:] >= 0.0))[0]
-    if crossings.size == 0:
-        raise PreconditionError("no same-direction return found near the guess")
-    i = crossings[np.argmin(np.abs(t[crossings] - (t_anchor + period_guess)))]
-    lo, hi = t[i], t[i + 1]
-    g = lambda s: sgn * (traj.value_at(s) - y0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) - t_anchor
+    return _cycle_from_samples(traj, lo, hi)
 
 
 def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClass:
@@ -248,7 +236,8 @@ def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClas
     t1, t2 = horizon / 3.0, 2.0 * horizon / 3.0
 
     _, v2 = traj.window(t1, t2)
-    t3, v3 = traj.window(t2, horizon)
+    lo, hi = traj._node_range(t2, horizon)
+    v3 = traj.values[lo:hi]
     if v2.size == 0 or v3.size == 0:
         raise PreconditionError(f"horizon {horizon:g} is too short: a third of it holds no "
                                 f"stored node (dt = {traj.dt:g})")
@@ -258,7 +247,7 @@ def classify_orbit(traj: Trajectory, y_star: float, horizon: float) -> OrbitClas
         return OrbitClass(OrbitKind.CONVERGES_TO_EQUILIBRIUM)
 
     amp2 = 0.5 * float(v2.max() - v2.min())
-    est = _cycle_from_samples(t3, v3)
+    est = _cycle_from_samples(traj, lo, hi)
     if est.amplitude > tol and abs(est.amplitude - amp2) <= AMP_DRIFT * est.amplitude:
         return OrbitClass(OrbitKind.APPROACHES_CYCLE, est)
     if est.amplitude > max(tol, amp2 * (1.0 + AMP_DRIFT)):

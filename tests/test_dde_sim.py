@@ -370,7 +370,7 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("stride", [1, 3, 8, dde_sim._BLOCK_STEPS + 1, np.int64(3)])
     def test_csv_blocks_match_one_pass(self, p3, stride):
-        # 3 blocks of rows at stride 1, rows on both sides of every block edge
+        # 13 blocks of rows at stride 1, rows on both sides of every block edge
         steps = 3 * dde_sim._BLOCK_STEPS + 17 - 64
         traj = integrate_y(p3, eigenmode_history(p3, 0.4), steps * p3.r / 64)
         assert traj.values.size == 3 * dde_sim._BLOCK_STEPS + 18

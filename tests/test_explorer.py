@@ -57,6 +57,15 @@ class TestCycleEstimate:
         assert est.period == pytest.approx(2.0 * np.pi, abs=1e-2)
         assert est.steady
 
+    def test_two_equal_maxima_per_period(self):
+        # sin t + 0.8 cos 2t peaks twice a period at the same height: the
+        # period is the return time 2 pi, not the peak spacing pi
+        dt = 0.01
+        t = dt * np.arange(20001)
+        traj = Trajectory(t0=0.0, dt=dt, values=np.sin(t) + 0.8 * np.cos(2.0 * t),
+                          derivs=np.cos(t) - 1.6 * np.sin(2.0 * t))
+        assert cycle_estimate(traj, 20.0).period == pytest.approx(2.0 * np.pi, rel=1e-9)
+
     def test_constant_signal(self):
         traj = sine_trajectory(2.0, 0.0, 1.0, 100.0, 0.05)
         est = cycle_estimate(traj, 10.0)

@@ -33,8 +33,7 @@ EXPORTS = {
     "x_solver": ["PeriodicInit", "integrate_x", "periodic_response", "periodic_x0"],
     "explorer": ["Criticality", "CriticalityReport", "CycleEstimate", "OrbitClass", "OrbitKind",
                  "ProbeResult", "ScanResult", "Zone", "ZoneReport", "bistability_scan",
-                 "classify_orbit", "criticality_probe", "cycle_estimate", "refine_period",
-                 "zone_classify"],
+                 "classify_orbit", "criticality_probe", "cycle_estimate", "zone_classify"],
 }
 
 
@@ -46,7 +45,7 @@ def run_fresh(code):
 
 def test_all_is_the_exports_and_their_modules():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 59
+    assert len(names) == 58
     assert cmldde.__all__ == sorted([*EXPORTS, *names])
     assert set(cmldde.__all__) <= set(dir(cmldde))
     assert {"__version__", "__doc__"} <= set(dir(cmldde))

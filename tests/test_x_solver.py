@@ -27,7 +27,7 @@ from cmldde import (
     periodic_x0,
     positive_equilibrium,
 )
-from cmldde.explorer import cycle_estimate, refine_period
+from cmldde.explorer import _crossing, cycle_estimate
 from cmldde.dde_sim import _BLOCK_STEPS
 from cmldde.x_solver import _exp_simpson
 from conftest import sample_params
@@ -43,6 +43,18 @@ def synthetic_trajectory(fn, dfn, t0, t_end, dt):
     n = int(round((t_end - t0) / dt))
     t = t0 + dt * np.arange(n + 1)
     return Trajectory(t0=t0, dt=dt, values=fn(t), derivs=dfn(t))
+
+
+def return_time(traj, anchor, period_guess):
+    """Time from the node anchor to the same-direction return to its value
+    nearest anchor + period_guess, refined on the dense output by _crossing."""
+    level = traj.value_at(anchor)
+    sgn = 1.0 if traj.derivative_at(anchor) > 0.0 else -1.0
+    lo, hi = traj._node_range(anchor + 0.5 * period_guess, anchor + 1.5 * period_guess)
+    f = sgn * (traj.values[lo:hi] - level)
+    steps = np.flatnonzero((f[:-1] < 0.0) & (f[1:] >= 0.0)) + lo
+    i = steps[np.argmin(np.abs(traj.t0 + traj.dt * steps - (anchor + period_guess)))]
+    return _crossing(traj, int(i), level) - anchor
 
 
 class TestIntegrateX:
@@ -305,7 +317,7 @@ class TestPeriodicX0:
         assert abs(x_traj.value_at(2.0 * T) - x0) < 1e-7
 
     def test_simulated_cycle_pipeline(self, p3):
-        # extract the attracting cycle, refine its period, and compare the
+        # extract the attracting cycle, refine its return time, and compare the
         # window integral at an anchor with the converged x orbit itself
         eq = positive_equilibrium(p3)
         y_traj = integrate_y(p3, eigenmode_history(p3, 0.55), 150000.0)
@@ -313,7 +325,7 @@ class TestPeriodicX0:
         assert est.steady
         tw, _ = y_traj.window(140000.0, 149000.0)
         anchor = tw[np.argmax(np.abs(y_traj.derivative_at(tw)))]
-        period = refine_period(y_traj, anchor, est.period)
+        period = return_time(y_traj, anchor, est.period)
         assert abs(y_traj.value_at(anchor + period) - y_traj.value_at(anchor)) < 1e-6
         x_traj = integrate_x(p3, y_traj, eq.x_star)
         assert abs(x_traj.value_at(anchor) - periodic_x0(p3, y_traj, anchor)) < 1e-6
@@ -398,14 +410,14 @@ def worked_cycle(hopf_example):
     assert est.steady
     tw, _ = y_traj.window(1000.0 - 3.0 * est.period, 1000.0 - 2.0 * est.period)
     anchor = tw[np.argmax(np.abs(y_traj.derivative_at(tw)))]
-    ts = np.linspace(anchor, anchor + refine_period(y_traj, anchor, est.period), 257)
+    ts = np.linspace(anchor, anchor + return_time(y_traj, anchor, est.period), 257)
     return p, y_traj, integrate_x(p, y_traj, eq.x_star), anchor, ts, y_traj.value_at(ts)
 
 
 class TestPeriodicX0Fourier:
     def test_worked_example_cycle(self, worked_cycle):
         # the x orbit started at x2 has converged by the anchor (gamma = 1.46);
-        # the Fourier oracle over one refined period agrees to 3.4e-15
+        # the Fourier oracle over one refined period agrees to 1.1e-14
         p, y_traj, x_traj, anchor, ts, ys = worked_cycle
         got = periodic_x0(p, y_traj, anchor)
         assert abs(got - x_traj.value_at(anchor)) < 1e-12
