@@ -14,12 +14,12 @@ genuine convergence within a feasible horizon.
 
 CPU use: the probes of one driver call that do not depend on each other (every
 offset of criticality_probe, every amplitude of zone_classify, the two
-endpoints of bistability_scan) run in bare forked worker processes, up to one
-per usable CPU and each with a strided share of the probes, and send back only
-their small ProbeResults through a pipe; no process pool and no thread is
-started. The results are identical to a serial run; `taskset` restricts the
-CPUs, and a single usable CPU, a platform without fork or a daemonic process
-runs them in-process.
+endpoints of bistability_scan) are cut into one contiguous share per usable
+CPU. The caller runs the first share; a bare forked worker process runs each
+other share and sends back only its small ProbeResults through a pipe; no
+process pool and no thread is started. The results are identical on any CPU
+count; `taskset` restricts the CPUs, and a single usable CPU, a platform
+without fork or a daemonic process forks nothing.
 """
 
 from __future__ import annotations
@@ -275,9 +275,24 @@ class _RemoteTraceback(Exception):
     """A worker's formatted traceback, the __cause__ of the exception it raised."""
 
 
+def _run_share(jobs: list) -> list:
+    # (True, result) for each job up to the first failing one, which ends the
+    # list as (False, (exception, formatted traceback))
+    outcomes = []
+    for job in jobs:
+        try:
+            outcomes.append((True, _probe(*job)))
+        except Exception as exc:
+            import traceback
+
+            outcomes.append((False, (exc, "".join(traceback.format_exception(exc)))))
+            break
+    return outcomes
+
+
 def _run_worker(jobs: list, fd: int, parent: int) -> None:
-    # in a forked child: run the jobs until one fails, pickle the outcomes
-    # (ok, result or (exception, traceback)) to fd and exit without cleanup
+    # in a forked child: run the share, pickle its outcomes to fd and exit
+    # without cleanup
     code = 1
     try:
         if sys.platform.startswith("linux"):
@@ -288,15 +303,7 @@ def _run_worker(jobs: list, fd: int, parent: int) -> None:
             ctypes.CDLL(None).prctl(1, 9)
             if os.getppid() != parent:
                 return
-        outcomes = []
-        for job in jobs:
-            try:
-                outcomes.append((True, _probe(*job)))
-            except Exception as exc:
-                import traceback
-
-                outcomes.append((False, (exc, "".join(traceback.format_exception(exc)))))
-                break
+        outcomes = _run_share(jobs)
         with os.fdopen(fd, "wb") as pipe:
             pipe.write(pickle.dumps(outcomes))
         code = 0
@@ -304,80 +311,70 @@ def _run_worker(jobs: list, fd: int, parent: int) -> None:
         os._exit(code)
 
 
-def _forked_outcomes(jobs: list, workers: int) -> list:
-    # each worker's outcome list, or its exit code (-signal) when it died
-    # before reporting; every child is reaped on every path
-    pids, pipes, outcomes, parent = [], [], [], os.getpid()
-    try:
-        for w in range(workers):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_worker(jobs[w::workers], wfd, parent)
-            os.close(wfd)
-            pids.append(pid)
-            pipes.append(os.fdopen(rfd, "rb"))
-        for pid, pipe in zip(pids, pipes):
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            outcomes.append(pickle.loads(data) if code == 0 else code)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        unreaped = pids[len(outcomes):]
-        if unreaped:  # interrupted
-            import signal
-
-            for pid in unreaped:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass  # reaped just before the interruption
-    return outcomes
-
-
 def _probe_map(jobs: list) -> Iterator[ProbeResult]:
     """_probe(*job) for each job, in job order; a failing job's exception is
     raised when the iterator reaches it, as a serial loop would raise it.
 
-    Forks W = min(len(jobs), usable CPUs) bare worker processes (no pool, no
-    thread). Worker w runs jobs w, w + W, ..., stops after its first failing
-    job and sends its outcomes back through its own pipe; the parent runs no
-    probe, reads every pipe and reaps every worker before the first result is
-    returned. A worker's exception carries the worker's traceback as a
-    _RemoteTraceback __cause__; a worker that dies before reporting raises
-    RuntimeError at its first job, and on Linux a worker dies with its caller
-    (SIGKILL through PR_SET_PDEATHSIG). With one worker, without fork, or in a
-    daemonic process (which may not have children) the jobs run lazily
-    in-process.
+    Cuts the jobs into W = min(len(jobs), usable CPUs) contiguous shares, forks
+    a bare worker process (no pool, no thread) for each share after the first
+    and runs the first share itself. Each share stops after its first failing
+    job; a worker sends its outcomes back through its own pipe. Every worker
+    is read and reaped before the first result is returned. A worker's
+    exception carries the worker's traceback as a _RemoteTraceback __cause__;
+    a worker that dies before reporting raises RuntimeError at its first job,
+    and on Linux a worker dies with its caller (SIGKILL through
+    PR_SET_PDEATHSIG). W is 1, and nothing is forked, on one CPU, without
+    fork, or in a daemonic process (which may not have children).
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(len(jobs), cpus)
     mp = sys.modules.get("multiprocessing")  # only a loaded one can have made us a daemon
-    if workers < 2 or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
-        return (_probe(*job) for job in jobs)
-    return _in_job_order(_forked_outcomes(jobs, workers), len(jobs))
+    if not hasattr(os, "fork") or (mp and mp.current_process().daemon):
+        cpus = 1
+    shares = max(1, min(len(jobs), cpus))
+    starts = [len(jobs) * w // shares for w in range(shares + 1)]
+    pids, pipes, reported, parent = [], [], [], os.getpid()
+    try:
+        for lo, hi in zip(starts[1:-1], starts[2:]):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_worker(jobs[lo:hi], wfd, parent)
+            os.close(wfd)
+            pids.append(pid)
+            pipes.append(os.fdopen(rfd, "rb"))
+        own = _run_share(jobs[:starts[1]])
+        for pid, pipe in zip(pids, pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reported.append(pickle.loads(data) if code == 0 else code)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids[len(reported):]:  # interrupted: kill and reap the rest
+            try:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped just before the interruption
+    return _in_job_order([own] + reported, starts)
 
 
-def _in_job_order(outcomes: list, count: int) -> Iterator[ProbeResult]:
-    workers = len(outcomes)
-    for i in range(count):
-        w, j = i % workers, i // workers
-        reported = outcomes[w]
-        if isinstance(reported, int):
-            how = (f"was killed by signal {-reported}" if reported < 0
-                   else f"exited with code {reported}")
-            raise RuntimeError(f"probe worker {w} {how} before reporting job {i}")
-        ok, value = reported[j]
-        if ok:
+def _in_job_order(shares: list, starts: list) -> Iterator[ProbeResult]:
+    # share 0 ran in the caller, share w > 0 in worker w
+    for w, share in enumerate(shares):
+        if isinstance(share, int):
+            how = f"was killed by signal {-share}" if share < 0 else f"exited with code {share}"
+            raise RuntimeError(f"probe worker {w} {how} before reporting job {starts[w]}")
+        for ok, value in share:
+            if not ok:
+                exc, tb = value
+                if w == 0:
+                    raise exc
+                raise exc from _RemoteTraceback(tb)
             yield value
-        else:
-            exc, tb = value
-            raise exc from _RemoteTraceback(tb)
 
 
 def bistability_scan(
@@ -541,15 +538,15 @@ def zone_classify(
 
     Zone1: stable equilibrium, every probe returns to it. Zone2: unstable
     equilibrium, probes all reach one common cycle. Zone3: stable equilibrium
-    yet at least one probe escapes to a cycle (bistability).
+    yet at least one probe escapes to a cycle (bistability). A repeated
+    amplitude is probed once.
     """
     if not probe_c_values:
         raise PreconditionError("need at least one probe amplitude")
     y_star = positive_equilibrium(params).y_star
     verdict = classify_positive(params)
-    probes = tuple(
-        _probe_map([(params, c, horizon, dt, y_star) for c in sorted(probe_c_values)])
-    )
+    amplitudes = sorted({float(c) for c in probe_c_values})
+    probes = tuple(_probe_map([(params, c, horizon, dt, y_star) for c in amplitudes]))
 
     converges = [p for p in probes if p.orbit.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM]
     escapes = [p for p in probes if _is_escape(p.orbit, p.c)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConditioningError, PreconditionError, RootNotFoundError
-from .hopf import crossing_terms, normal_omega
+from .hopf import _MIN_NORMAL, crossing_terms, normal_omega
 from .model import ModelParams, b1_coefficient
 
 #: absolute tolerance for the measure-zero marginal case of the trivial branch
@@ -281,7 +281,10 @@ def leading_roots(params: ModelParams, count: int) -> list[CharacteristicRoot]:
 
     # theta = -2 pi (z > 0) folds onto 2 pi; theta = -pi (z < 0) onto pi unless both are real
     odd = k_b1 < 0.0
-    log_kr = math.log(abs(k_b1)) + math.log(r)
+    # log|k b1 r| as the log of the product while that is a normal double, which
+    # power-of-two rescaling leaves exact; as two logs past the double range
+    kr = abs(k_b1) * r
+    log_kr = math.log(kr) if _MIN_NORMAL <= kr < math.inf else math.log(abs(k_b1)) + math.log(r)
     x = log_kr + s_sum * r
     branches = []
     for j in range(-1, count):

@@ -22,6 +22,7 @@ blocked x solver and CSV writer must match their one-pass forms bit for bit
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -156,8 +157,8 @@ def leading_roots_reference(params, count):
 def leading_roots_wrightomega_reference(params, count):
     """Rightmost characteristic roots from the Lambert W branches, vectorised.
 
-    The same theta grid, near-real clamp, real-part spellings, sort and
-    folded-twin dedup as `leading_roots`, with every branch evaluated at once
+    The same theta grid, log|k b1 r|, near-real clamp, real-part spellings,
+    sort and folded-twin dedup as `leading_roots`, with every branch evaluated at once
     by scipy's compiled Wright omega on numpy arrays.
     """
     if not 1 <= count <= MAX_ROOTS:
@@ -171,7 +172,11 @@ def leading_roots_wrightomega_reference(params, count):
 
     # theta = -2 pi (z > 0) folds onto 2 pi; theta = -pi (z < 0) onto pi unless both are real
     theta = math.pi * (2.0 * np.arange(-1, count) + (k_b1 < 0.0))
-    log_kr = math.log(abs(k_b1)) + math.log(r)
+    kr = abs(k_b1) * r
+    if sys.float_info.min <= kr < math.inf:
+        log_kr = math.log(kr)
+    else:
+        log_kr = math.log(abs(k_b1)) + math.log(r)
     w = wrightomega(log_kr + s_sum * r + 1j * theta)
     w_abs = np.abs(w)
     im = np.abs(w.imag)

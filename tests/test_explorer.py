@@ -255,6 +255,16 @@ class TestZones:
             pr.orbit.kind is OrbitKind.CONVERGES_TO_EQUILIBRIUM for pr in rep.probes
         )
 
+    def test_repeated_amplitude_probed_once(self, monkeypatch, hopf_example):
+        n, beta0, k, delta = hopf_example
+        p = ModelParams(n=n, beta0=beta0, delta=delta, k=k, r=0.36)
+        probed, probe = [], explorer._probe
+        monkeypatch.setattr(explorer, "_probe", lambda *job: probed.append(job[1]) or probe(*job))
+        use_cpus(monkeypatch, 1)  # record every probe in this process
+        rep = zone_classify(p, [0.2, 0.005, 0.2, 0.005], 500.0)
+        assert probed == [0.005, 0.2]
+        assert rep == zone_classify(p, [0.005, 0.2], 500.0)
+
 
 class TestXMirroring:
     def test_cycle_and_convergence_transfer(self, p3):
@@ -293,8 +303,9 @@ OVERFLOW = ModelParams(n=3, beta0=33, delta=6.5, k=1.5, r=0.35)
 
 
 class TestProbeMap:
-    """Independent probes run in forked workers, one per usable CPU, or in-process
-    on one CPU; either way the drivers return and raise the same."""
+    """Independent probes are cut into one share per usable CPU; the caller runs
+    the first and a forked worker each other one, and on one CPU the caller runs
+    them all. Either way the drivers return and raise the same."""
 
     @pytest.fixture(autouse=True)
     def no_children_left(self):
@@ -356,19 +367,63 @@ class TestProbeMap:
             bistability_scan(OVERFLOW, 0.1, 3e307, 0.01, 2.0)
 
     def test_killed_worker_is_runtime_error(self, monkeypatch, hopf_example):
-        # a worker that dies without reporting fails the call at once, not a hang
+        # a worker that dies without reporting fails the call at once, not a hang;
+        # only the forked worker is killed, the caller runs its own share
         use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(explorer, "_probe", lambda *job: os.kill(os.getpid(), signal.SIGKILL))
+        caller, probe = os.getpid(), explorer._probe
+        monkeypatch.setattr(explorer, "_probe", lambda *job: (
+            probe(*job) if os.getpid() == caller else os.kill(os.getpid(), signal.SIGKILL)))
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="killed by signal 9"):
             criticality_probe(*hopf_example, [-0.01, 0.004], 400.0)
         assert time.monotonic() - started < 5.0
 
+    @pytest.mark.parametrize("jobs, cpus", [(1, 2), (2, 2), (3, 2), (5, 3), (3, 4), (4, 1)])
+    def test_forks_one_worker_per_share_after_the_first(self, monkeypatch, jobs, cpus):
+        use_cpus(monkeypatch, cpus)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        monkeypatch.setattr(explorer, "_probe", lambda i: (i, os.getpid()))
+        caller = os.getpid()
+        out = list(explorer._probe_map([(i,) for i in range(jobs)]))
+        assert len(forks) == min(jobs, cpus) - 1
+        assert [i for i, _ in out] == list(range(jobs))
+        # the first contiguous share ran in the caller, each other one in its own worker
+        pids = [pid for _, pid in out]
+        assert pids[0] == caller
+        assert len(set(pids)) == min(jobs, cpus)
+        assert pids == sorted(pids, key=pids.index)
+
+    @pytest.mark.parametrize("failing, remote", [(0, False), (1, False), (2, True), (3, True)])
+    def test_remote_traceback_only_from_a_worker(self, monkeypatch, failing, remote):
+        # jobs 0-1 are the caller's share, jobs 2-3 the worker's
+        use_cpus(monkeypatch, 2)
+
+        def probe(i):
+            if i == failing:
+                raise ValueError(f"job {i}")
+            return i
+
+        monkeypatch.setattr(explorer, "_probe", probe)
+        results = explorer._probe_map([(i,) for i in range(4)])
+        assert [next(results) for _ in range(failing)] == list(range(failing))
+        with pytest.raises(ValueError, match=f"job {failing}") as exc:
+            next(results)
+        cause = exc.value.__cause__
+        if remote:
+            assert type(cause).__name__ == "_RemoteTraceback"
+            assert "in probe" in str(cause)
+        else:
+            assert cause is None
+            # the caller's own traceback reaches into the failing probe
+            assert exc.traceback[-1].name == "probe"
+
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="workers die with their caller on Linux; one CPU forks none")
     def test_workers_die_with_caller(self, tmp_path):
-        # a caller killed mid-probe leaves no worker running
+        # a caller killed mid-probe leaves no worker running; the two probes
+        # record the caller's pid and its one worker's
         pid_file = tmp_path / "pids"
         code = ("import os, sys, time; from cmldde import explorer\n"
                 "def probe(*job):\n"
